@@ -14,8 +14,6 @@
  */
 
 #include <cstdio>
-#include <map>
-#include <vector>
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
@@ -46,61 +44,9 @@ main(int argc, char **argv)
 
     printBanner("Figure 11: speedup over BASELINE "
                 "(50% memory oversubscription)");
-    std::vector<std::string> headers = {"workload"};
-    for (Policy p : spec.policies)
-        headers.push_back(policyName(p));
-    Table t(headers);
-
-    std::map<Policy, std::vector<double>> speedups;
-    for (const auto &w : spec.workloads) {
-        const CellOutcome *base = sweep.find(w, Policy::Baseline);
-        if (!base || !base->ok) {
-            warn("fig11: skipping %s (baseline cell failed)",
-                 w.c_str());
-            continue;
-        }
-        const double base_cycles =
-            static_cast<double>(base->result.cycles);
-        std::vector<std::string> row = {w};
-        for (Policy p : spec.policies) {
-            const CellOutcome *cell = sweep.find(w, p);
-            if (!cell || !cell->ok) {
-                row.push_back("FAIL");
-                continue;
-            }
-            const double s =
-                base_cycles / static_cast<double>(cell->result.cycles);
-            speedups[p].push_back(s);
-            row.push_back(Table::num(s, 2));
-        }
-        t.addRow(row);
-    }
-    // The paper reports arithmetic-average speedups (the BFS-DWC
-    // outlier pulls its 2x headline up); print both means.
-    std::vector<std::string> avg = {"AVERAGE"};
-    for (Policy p : spec.policies)
-        avg.push_back(Table::num(amean(speedups[p]), 2));
-    t.addRow(avg);
-    std::vector<std::string> gmean = {"GEOMEAN"};
-    for (Policy p : spec.policies)
-        gmean.push_back(Table::num(geomean(speedups[p]), 2));
-    t.addRow(gmean);
-    t.emit(opt.csv);
-
-    // Section 5.2 headline derivations.
-    const double toue = amean(speedups[Policy::ToUe]);
-    const double pciec = amean(speedups[Policy::BaselinePcieComp]);
-    const double etc = amean(speedups[Policy::Etc]);
-    std::printf("\nsection 5.2 summary (paper in parentheses):\n");
-    std::printf("  TO+UE vs BASELINE:            %.2fx (2.00x)\n",
-                toue);
-    std::printf("  TO+UE vs BASELINE+PCIeC:      %.2fx (1.81x)\n",
-                pciec > 0.0 ? toue / pciec : 0.0);
-    std::printf("  TO+UE vs ETC:                 %.2fx (1.79x)\n",
-                etc > 0.0 ? toue / etc : 0.0);
-    std::printf("  TO alone:                     %.2fx (1.22x)\n",
-                amean(speedups[Policy::To]));
-    std::printf("  UE alone:                     %.2fx\n",
-                amean(speedups[Policy::Ue]));
+    const SpeedupTable fig11 = buildSpeedupTable(
+        sweep, spec.workloads, spec.policies, SpeedupMeans::Both);
+    fig11.table.emit(opt.csv);
+    std::fputs(section52Summary(fig11).c_str(), stdout);
     return 0;
 }

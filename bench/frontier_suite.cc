@@ -14,8 +14,6 @@
  */
 
 #include <cstdio>
-#include <map>
-#include <vector>
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
@@ -45,39 +43,8 @@ main(int argc, char **argv)
         sweep.writeJson(opt.json_path);
 
     printBanner("Frontier suite: speedup over BASELINE");
-    std::vector<std::string> headers = {"workload"};
-    for (Policy p : spec.policies)
-        headers.push_back(policyName(p));
-    Table t(headers);
-
-    std::map<Policy, std::vector<double>> speedups;
-    for (const auto &w : spec.workloads) {
-        const CellOutcome *base = sweep.find(w, Policy::Baseline);
-        if (!base || !base->ok) {
-            warn("frontier_suite: skipping %s (baseline cell failed)",
-                 w.c_str());
-            continue;
-        }
-        const double base_cycles =
-            static_cast<double>(base->result.cycles);
-        std::vector<std::string> row = {w};
-        for (Policy p : spec.policies) {
-            const CellOutcome *cell = sweep.find(w, p);
-            if (!cell || !cell->ok) {
-                row.push_back("FAIL");
-                continue;
-            }
-            const double s =
-                base_cycles / static_cast<double>(cell->result.cycles);
-            speedups[p].push_back(s);
-            row.push_back(Table::num(s, 2));
-        }
-        t.addRow(row);
-    }
-    std::vector<std::string> gmean = {"GEOMEAN"};
-    for (Policy p : spec.policies)
-        gmean.push_back(Table::num(geomean(speedups[p]), 2));
-    t.addRow(gmean);
-    t.emit(opt.csv);
+    buildSpeedupTable(sweep, spec.workloads, spec.policies,
+                      SpeedupMeans::Geomean)
+        .table.emit(opt.csv);
     return 0;
 }

@@ -72,7 +72,8 @@ memTranslate(benchmark::State &state)
 // ------------------------------------------------------- MemFaultPath
 
 void
-drainBatch(FaultBuffer &fb, std::vector<FaultRecord> &out)
+drainBatch(FaultBufferT<ObserverMode::None> &fb,
+           std::vector<FaultRecord> &out)
 {
     fb.drainInto(out);
 }
@@ -238,7 +239,7 @@ BM_MemFaultPath(benchmark::State &state)
 {
     UvmConfig config;
     GpuMemoryManager mgr(config, 512);
-    FaultBuffer fb(256, mgr.pageTable().meta());
+    FaultBufferT<ObserverMode::None> fb(256, mgr.pageTable().meta());
     memFaultPath(state, mgr, fb);
 }
 BENCHMARK(BM_MemFaultPath);

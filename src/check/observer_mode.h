@@ -9,21 +9,21 @@
  * (MemoryHierarchyT, FaultBufferT, UvmRuntimeT, SmT) are therefore
  * templated on an ObserverMode; emission sites are written as
  *
- *     if constexpr (observesTrace(M)) {
+ *     if constexpr (observed(M)) {
  *         if (hooks_.trace) { ... }
  *     }
  *
- * so the whole site — including the null check — compiles away in the
- * modes that cannot observe it. GpuUvmSystem picks the mode once per
- * cell from its SimConfig (trace/audit flags) and instantiates the
- * matching specialization behind a thin construction-time seam
- * (EngineBase); nothing dispatches on the mode per event.
+ * so in ObserverMode::None the whole site — including the null check —
+ * compiles away. ObserverMode::Observed keeps every site, each guarded
+ * by its own null check, so one specialization serves tracing,
+ * auditing and both. Only None has to be fast: every sweep cell without
+ * an observer runs it.
  *
- * ObserverMode::Dynamic preserves the historical behaviour — every
- * site compiled in, guarded by the runtime null check — and is the
- * default for code that constructs components directly (unit tests,
- * micro-benchmarks) via the un-suffixed aliases (MemoryHierarchy,
- * UvmRuntime, Sm, FaultBuffer).
+ * makeEngine() (src/core/engine.h) picks the mode once per system from
+ * the attached observers; nothing dispatches on the mode per event.
+ * Code that builds components directly (unit tests, micro-benchmarks)
+ * names the mode: None when it attaches no observer, Observed when it
+ * does.
  */
 
 #ifndef BAUVM_CHECK_OBSERVER_MODE_H_
@@ -34,63 +34,17 @@
 namespace bauvm
 {
 
-/** Which observers a specialized hot path can ever see attached. */
+/** Whether a specialized hot path can ever see an observer attached. */
 enum class ObserverMode : std::uint8_t {
-    Dynamic, //!< decided at run time: all sites present, null-checked
-    None,    //!< no observers: every emission site is dead code
-    Trace,   //!< timeline tracing only
-    Audit,   //!< online model auditing only
-    Both,    //!< tracing and auditing
+    None,     //!< no observers: every emission site is dead code
+    Observed, //!< trace and/or audit: every site present, null-checked
 };
 
-/** True when mode @p m can have a TraceSink attached. */
+/** True when mode @p m compiles the observer emission sites in. */
 constexpr bool
-observesTrace(ObserverMode m)
+observed(ObserverMode m)
 {
-    return m == ObserverMode::Dynamic || m == ObserverMode::Trace ||
-           m == ObserverMode::Both;
-}
-
-/** True when mode @p m can have a ModelAuditor attached. */
-constexpr bool
-observesAudit(ObserverMode m)
-{
-    return m == ObserverMode::Dynamic || m == ObserverMode::Audit ||
-           m == ObserverMode::Both;
-}
-
-/** The specialized (never Dynamic) mode for a concrete observer set. */
-constexpr ObserverMode
-observerModeFor(bool trace, bool audit)
-{
-    if (trace && audit) {
-        return ObserverMode::Both;
-    }
-    if (trace) {
-        return ObserverMode::Trace;
-    }
-    if (audit) {
-        return ObserverMode::Audit;
-    }
-    return ObserverMode::None;
-}
-
-constexpr const char *
-observerModeName(ObserverMode m)
-{
-    switch (m) {
-    case ObserverMode::Dynamic:
-        return "dynamic";
-    case ObserverMode::None:
-        return "none";
-    case ObserverMode::Trace:
-        return "trace";
-    case ObserverMode::Audit:
-        return "audit";
-    case ObserverMode::Both:
-        return "both";
-    }
-    return "?";
+    return m == ObserverMode::Observed;
 }
 
 } // namespace bauvm

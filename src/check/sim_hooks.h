@@ -10,18 +10,18 @@
  * pointers plus the simulation clock — and passes it once, at
  * construction, down the component tree. Components copy the aggregate
  * (two pointers and a clock; all stable for the system's lifetime) and
- * guard every emission site with a null check, so a run with no observers
- * pays one predictable branch per site and nothing else, exactly like
- * the old per-component TraceSink wiring.
+ * guard every emission site with a null check, so a cold site in a run
+ * with no observers pays one predictable branch and nothing else.
  *
  * Adding a future observer is now: add a pointer here, wire it in
  * GpuUvmSystem, and instrument the sites that care — no constructor or
  * setter churn anywhere else.
  *
  * The hot classes additionally template their event-path methods on an
- * ObserverMode (src/check/observer_mode.h) so the per-site null checks
- * compile away entirely in the modes that cannot observe them; SimHooks
- * remains the single aggregate those specializations read from.
+ * ObserverMode (src/check/observer_mode.h): in ObserverMode::None their
+ * sites, null checks included, compile away entirely; in
+ * ObserverMode::Observed each site keeps its null check. SimHooks
+ * remains the single aggregate both specializations read from.
  */
 
 #ifndef BAUVM_CHECK_SIM_HOOKS_H_

@@ -51,30 +51,17 @@ EngineT<M>::wireTenantRouting()
 }
 
 template class EngineT<ObserverMode::None>;
-template class EngineT<ObserverMode::Trace>;
-template class EngineT<ObserverMode::Audit>;
-template class EngineT<ObserverMode::Both>;
+template class EngineT<ObserverMode::Observed>;
 
 std::unique_ptr<EngineBase>
 makeEngine(const SimConfig &config, EventQueue &events,
            GpuMemoryManager &manager, const SimHooks &hooks)
 {
-    switch (observerModeFor(hooks.trace != nullptr,
-                            hooks.audit != nullptr)) {
-    case ObserverMode::Trace:
-        return std::make_unique<EngineT<ObserverMode::Trace>>(
+    if (hooks.trace == nullptr && hooks.audit == nullptr) {
+        return std::make_unique<EngineT<ObserverMode::None>>(
             config, events, manager, hooks);
-    case ObserverMode::Audit:
-        return std::make_unique<EngineT<ObserverMode::Audit>>(
-            config, events, manager, hooks);
-    case ObserverMode::Both:
-        return std::make_unique<EngineT<ObserverMode::Both>>(
-            config, events, manager, hooks);
-    case ObserverMode::None:
-    case ObserverMode::Dynamic:
-        break;
     }
-    return std::make_unique<EngineT<ObserverMode::None>>(
+    return std::make_unique<EngineT<ObserverMode::Observed>>(
         config, events, manager, hooks);
 }
 

@@ -2,11 +2,12 @@
  * @file
  * The construction-time dispatch seam for observer specialization.
  *
- * GpuUvmSystem picks an ObserverMode once, from whether its SimConfig
- * enabled tracing/auditing, and makeEngine() instantiates the matching
- * EngineT<M>: the typed bundle of MemoryHierarchyT<M>, UvmRuntimeT<M>
- * and a Gpu built with SmT<M> SMs, so the per-event fault/translate/
- * evict loop binds statically inside the specialization. Everything
+ * GpuUvmSystem picks an ObserverMode once — None when its SimConfig
+ * enables neither tracing nor auditing, Observed otherwise — and
+ * makeEngine() instantiates the matching EngineT<M>: the typed bundle
+ * of MemoryHierarchyT<M>, UvmRuntimeT<M> and a Gpu built with SmT<M>
+ * SMs, so the per-event fault/translate/evict loop binds statically
+ * inside the specialization. Everything
  * the system does after construction — running kernels, reading
  * statistics, wiring tenants — goes through the mode-independent base
  * references this interface exposes; the only virtual dispatch on the
@@ -105,14 +106,12 @@ class EngineT final : public EngineBase
 };
 
 extern template class EngineT<ObserverMode::None>;
-extern template class EngineT<ObserverMode::Trace>;
-extern template class EngineT<ObserverMode::Audit>;
-extern template class EngineT<ObserverMode::Both>;
+extern template class EngineT<ObserverMode::Observed>;
 
 /**
- * Instantiates the engine specialized for the observers actually
- * attached in @p hooks (never the Dynamic fallback: a null pointer in
- * the aggregate means that observer cannot appear later either).
+ * Instantiates EngineT<None> when @p hooks carries neither a trace sink
+ * nor an auditor, EngineT<Observed> otherwise. A null pointer in the
+ * aggregate means that observer cannot appear later either.
  */
 std::unique_ptr<EngineBase> makeEngine(const SimConfig &config,
                                        EventQueue &events,

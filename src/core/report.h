@@ -1,14 +1,20 @@
 /**
  * @file
  * Table/CSV output helpers used by the bench binaries so every figure
- * prints in the same format.
+ * prints in the same format, plus the fig11-style speedup-over-BASELINE
+ * table every matrix bench (and its tests) renders from a SweepResult.
  */
 
 #ifndef BAUVM_CORE_REPORT_H_
 #define BAUVM_CORE_REPORT_H_
 
+#include <cstddef>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "src/core/presets.h"
 
 namespace bauvm
 {
@@ -49,6 +55,46 @@ class Table
 
 /** Prints a figure banner ("== Figure 11: ... =="). */
 void printBanner(const std::string &title);
+
+struct SweepResult;
+
+/** Mean rows a speedup table carries under its per-workload rows. */
+enum class SpeedupMeans { Average, Geomean, Both };
+
+/**
+ * Speedup over BASELINE per (workload, policy) cell of a sweep, as
+ * fig11 prints it: one row per workload whose BASELINE cell succeeded,
+ * one column per policy, FAIL for a failed cell.
+ */
+struct SpeedupTable {
+    Table table;
+    /** Successful speedups per policy, in workload order. */
+    std::map<Policy, std::vector<double>> speedups;
+
+    /** Arithmetic mean of @p p's successful speedups; nullopt if none. */
+    std::optional<double> average(Policy p) const;
+};
+
+/**
+ * Builds the speedup table of @p sweep over @p workloads x @p policies
+ * and appends the @p means rows. A workload whose BASELINE cell failed
+ * is skipped with a warning. Every mean covers only the successful
+ * cells of its column; a column that had to exclude cells (failed, or
+ * in a skipped row) shows the count, e.g. "1.41 (2 excl)", and a column
+ * with no successful cell shows "n/a (11 excl)" instead of a number.
+ * With no failed cells the output is exactly the historical fig11 one.
+ */
+SpeedupTable buildSpeedupTable(const SweepResult &sweep,
+                               const std::vector<std::string> &workloads,
+                               const std::vector<Policy> &policies,
+                               SpeedupMeans means);
+
+/**
+ * The paper's section 5.2 headline ratios derived from a fig11 table
+ * (paper values in parentheses). A line whose policies have no
+ * successful cell prints "n/a", never a 0.00x ratio.
+ */
+std::string section52Summary(const SpeedupTable &fig11);
 
 } // namespace bauvm
 

@@ -153,9 +153,9 @@ class GpuUvmSystem
     EventQueue events_;
     // Observers are built first so hooks_ can be handed to every
     // component at construction (components keep it by value). The
-    // engine then instantiates the hierarchy/runtime/GPU bundle
-    // specialized for exactly the observers that exist — the one place
-    // an ObserverMode is chosen at runtime.
+    // engine then instantiates the hierarchy/runtime/GPU bundle in
+    // ObserverMode::None when neither observer exists and Observed
+    // otherwise — the one place an ObserverMode is chosen at runtime.
     std::unique_ptr<TraceSink> trace_;
     std::unique_ptr<ModelAuditor> audit_;
     SimHooks hooks_;

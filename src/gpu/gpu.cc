@@ -27,24 +27,12 @@ Gpu::Gpu(const SimConfig &config, EventQueue &events,
 }
 
 template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::Dynamic> &,
-                  UvmRuntimeT<ObserverMode::Dynamic> &, const SimHooks &,
-                  std::uint32_t);
-template Gpu::Gpu(const SimConfig &, EventQueue &,
                   MemoryHierarchyT<ObserverMode::None> &,
                   UvmRuntimeT<ObserverMode::None> &, const SimHooks &,
                   std::uint32_t);
 template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::Trace> &,
-                  UvmRuntimeT<ObserverMode::Trace> &, const SimHooks &,
-                  std::uint32_t);
-template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::Audit> &,
-                  UvmRuntimeT<ObserverMode::Audit> &, const SimHooks &,
-                  std::uint32_t);
-template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::Both> &,
-                  UvmRuntimeT<ObserverMode::Both> &, const SimHooks &,
+                  MemoryHierarchyT<ObserverMode::Observed> &,
+                  UvmRuntimeT<ObserverMode::Observed> &, const SimHooks &,
                   std::uint32_t);
 
 Cycle

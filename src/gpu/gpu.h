@@ -88,24 +88,12 @@ class Gpu : public SmListener
 };
 
 extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::Dynamic> &,
-                         UvmRuntimeT<ObserverMode::Dynamic> &,
-                         const SimHooks &, std::uint32_t);
-extern template Gpu::Gpu(const SimConfig &, EventQueue &,
                          MemoryHierarchyT<ObserverMode::None> &,
                          UvmRuntimeT<ObserverMode::None> &,
                          const SimHooks &, std::uint32_t);
 extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::Trace> &,
-                         UvmRuntimeT<ObserverMode::Trace> &,
-                         const SimHooks &, std::uint32_t);
-extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::Audit> &,
-                         UvmRuntimeT<ObserverMode::Audit> &,
-                         const SimHooks &, std::uint32_t);
-extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::Both> &,
-                         UvmRuntimeT<ObserverMode::Both> &,
+                         MemoryHierarchyT<ObserverMode::Observed> &,
+                         UvmRuntimeT<ObserverMode::Observed> &,
                          const SimHooks &, std::uint32_t);
 
 } // namespace bauvm

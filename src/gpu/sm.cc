@@ -381,7 +381,7 @@ SmT<M>::execMemoryOp(std::uint32_t slot, std::uint32_t warp,
                id_, warp, b.block_id, fault_page_scratch_.size(),
                static_cast<unsigned long long>(issue));
     for (PageNum vpn : fault_page_scratch_) {
-        if constexpr (observesTrace(M)) {
+        if constexpr (observed(M)) {
             if (hooks_.trace) {
                 hooks_.trace->instant(TraceEventType::PageFault,
                                       track_, issue, vpn, warp);
@@ -453,7 +453,7 @@ SmT<M>::finishWarp(std::uint32_t slot, std::uint32_t warp)
     if (b.liveWarps() == 0) {
         b.finished = true;
         b.active = false;
-        if constexpr (observesTrace(M)) {
+        if constexpr (observed(M)) {
             if (hooks_.trace) {
                 hooks_.trace->instant(TraceEventType::BlockFinish,
                                       track_, events_.now(),
@@ -487,10 +487,7 @@ SmT<M>::maybeReleaseBarrier(std::uint32_t slot)
     }
 }
 
-template class SmT<ObserverMode::Dynamic>;
 template class SmT<ObserverMode::None>;
-template class SmT<ObserverMode::Trace>;
-template class SmT<ObserverMode::Audit>;
-template class SmT<ObserverMode::Both>;
+template class SmT<ObserverMode::Observed>;
 
 } // namespace bauvm

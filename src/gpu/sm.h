@@ -18,7 +18,6 @@
  * compiled for mode M. The only virtual on the hot path is pump(),
  * invoked once per scheduled pump event and amortized over the whole
  * ready queue — the construction-time seam the Gpu dispatches through.
- * Sm aliases the Dynamic specialization.
  */
 
 #ifndef BAUVM_GPU_SM_H_
@@ -241,14 +240,8 @@ class SmT final : public SmBase
     UvmRuntimeT<M> &runtime_;
 };
 
-extern template class SmT<ObserverMode::Dynamic>;
 extern template class SmT<ObserverMode::None>;
-extern template class SmT<ObserverMode::Trace>;
-extern template class SmT<ObserverMode::Audit>;
-extern template class SmT<ObserverMode::Both>;
-
-/** Historical name: the runtime-dispatched (Dynamic) specialization. */
-using Sm = SmT<ObserverMode::Dynamic>;
+extern template class SmT<ObserverMode::Observed>;
 
 } // namespace bauvm
 

@@ -47,10 +47,7 @@ MemoryHierarchyBase::invalidatePage(PageNum vpn)
         hooks_.audit->onTranslationInvalidate(vpn);
 }
 
-template class MemoryHierarchyT<ObserverMode::Dynamic>;
 template class MemoryHierarchyT<ObserverMode::None>;
-template class MemoryHierarchyT<ObserverMode::Trace>;
-template class MemoryHierarchyT<ObserverMode::Audit>;
-template class MemoryHierarchyT<ObserverMode::Both>;
+template class MemoryHierarchyT<ObserverMode::Observed>;
 
 } // namespace bauvm

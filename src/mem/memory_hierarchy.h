@@ -11,9 +11,7 @@
  * src/check/observer_mode.h): MemoryHierarchyBase owns all state plus
  * the cold entry points (shootdowns, queries); MemoryHierarchyT<M>
  * adds the hot access/translate pair with the observer branches
- * compiled for mode M. The un-suffixed MemoryHierarchy alias is the
- * Dynamic specialization, which behaves exactly like the historical
- * class.
+ * compiled for mode M.
  */
 
 #ifndef BAUVM_MEM_MEMORY_HIERARCHY_H_
@@ -199,7 +197,7 @@ MemoryHierarchyT<M>::translate(std::uint32_t sm, PageNum vpn, Cycle start)
     Tlb &l1 = *l1_tlbs_[sm];
     Cycle t = start + l1.hitLatency();
     if (l1.lookup(vpn)) {
-        if constexpr (observesAudit(M)) {
+        if constexpr (observed(M)) {
             if (hooks_.audit)
                 hooks_.audit->onTranslationHit(vpn);
         }
@@ -208,7 +206,7 @@ MemoryHierarchyT<M>::translate(std::uint32_t sm, PageNum vpn, Cycle start)
 
     t += l2_tlb_->hitLatency();
     if (l2_tlb_->lookup(vpn)) {
-        if constexpr (observesAudit(M)) {
+        if constexpr (observed(M)) {
             if (hooks_.audit) {
                 hooks_.audit->onTranslationHit(vpn);
                 hooks_.audit->onTranslationInsert(vpn);
@@ -221,13 +219,13 @@ MemoryHierarchyT<M>::translate(std::uint32_t sm, PageNum vpn, Cycle start)
     ++walks_;
     const Cycle walk_done = walker_.walk(vpn, t);
     const bool fault = !page_table_.isResident(vpn);
-    if constexpr (observesAudit(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.audit)
             hooks_.audit->onWalkResolved(vpn, walk_done, fault);
     }
     if (fault)
         return {true, walk_done};
-    if constexpr (observesAudit(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.audit) {
             hooks_.audit->onTranslationInsert(vpn); // L2 TLB fill
             hooks_.audit->onTranslationInsert(vpn); // L1 TLB fill
@@ -279,14 +277,8 @@ MemoryHierarchyT<M>::access(std::uint32_t sm, VAddr vaddr, bool write,
     return MemResult{false, 0, t};
 }
 
-extern template class MemoryHierarchyT<ObserverMode::Dynamic>;
 extern template class MemoryHierarchyT<ObserverMode::None>;
-extern template class MemoryHierarchyT<ObserverMode::Trace>;
-extern template class MemoryHierarchyT<ObserverMode::Audit>;
-extern template class MemoryHierarchyT<ObserverMode::Both>;
-
-/** Historical name: the runtime-dispatched (Dynamic) specialization. */
-using MemoryHierarchy = MemoryHierarchyT<ObserverMode::Dynamic>;
+extern template class MemoryHierarchyT<ObserverMode::Observed>;
 
 } // namespace bauvm
 

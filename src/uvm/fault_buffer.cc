@@ -23,7 +23,7 @@ FaultBufferT<M>::insert(PageNum vpn, Cycle now, TenantId tenant)
     PageMeta &m = meta_.ensure(vpn);
     if (m.fault_slot != PageMeta::kNoIndex) {
         ++entries_.duplicates[m.fault_slot];
-        if constexpr (observesAudit(M)) {
+        if constexpr (observed(M)) {
             if (hooks_.audit) {
                 hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
                                               overflowSize());
@@ -37,7 +37,7 @@ FaultBufferT<M>::insert(PageNum vpn, Cycle now, TenantId tenant)
         for (std::size_t i = overflow_head_; i < overflow_.size(); ++i) {
             if (overflow_[i].vpn == vpn) {
                 ++overflow_[i].duplicates;
-                if constexpr (observesAudit(M)) {
+                if constexpr (observed(M)) {
                     if (hooks_.audit) {
                         hooks_.audit->onFaultBuffered(
                             vpn, now, entries_.size(), overflowSize());
@@ -47,15 +47,13 @@ FaultBufferT<M>::insert(PageNum vpn, Cycle now, TenantId tenant)
             }
         }
         overflow_.push_back(FaultRecord{vpn, now, 1, tenant});
-        if constexpr (observesTrace(M)) {
+        if constexpr (observed(M)) {
             if (hooks_.trace) {
                 hooks_.trace->counter(
                     TraceEventType::FaultBufferDepth, kTraceTrackRuntime,
                     now, entries_.size(),
                     static_cast<std::uint32_t>(overflowSize()));
             }
-        }
-        if constexpr (observesAudit(M)) {
             if (hooks_.audit) {
                 hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
                                               overflowSize());
@@ -65,7 +63,7 @@ FaultBufferT<M>::insert(PageNum vpn, Cycle now, TenantId tenant)
     }
     m.fault_slot = static_cast<std::uint32_t>(entries_.size());
     entries_.push(vpn, now, 1, tenant);
-    if constexpr (observesTrace(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.trace) {
             hooks_.trace->counter(TraceEventType::FaultBufferDepth,
                                   kTraceTrackRuntime, now,
@@ -73,8 +71,6 @@ FaultBufferT<M>::insert(PageNum vpn, Cycle now, TenantId tenant)
                                   static_cast<std::uint32_t>(
                                       overflowSize()));
         }
-    }
-    if constexpr (observesAudit(M)) {
         if (hooks_.audit) {
             hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
                                           overflowSize());
@@ -107,7 +103,7 @@ FaultBufferT<M>::drainInto(FaultBatch &out)
         overflow_.clear();
         overflow_head_ = 0;
     }
-    if constexpr (observesAudit(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.audit) {
             hooks_.audit->onFaultDrained(out.size(), entries_.size(),
                                          overflowSize());
@@ -130,10 +126,7 @@ FaultBufferT<M>::drainInto(std::vector<FaultRecord> &out)
     }
 }
 
-template class FaultBufferT<ObserverMode::Dynamic>;
 template class FaultBufferT<ObserverMode::None>;
-template class FaultBufferT<ObserverMode::Trace>;
-template class FaultBufferT<ObserverMode::Audit>;
-template class FaultBufferT<ObserverMode::Both>;
+template class FaultBufferT<ObserverMode::Observed>;
 
 } // namespace bauvm

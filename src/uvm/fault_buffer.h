@@ -23,8 +23,7 @@
  *
  * Like the other hot-path classes, the buffer splits into a
  * mode-independent base and FaultBufferT<M> carrying the specialized
- * insert/drain (src/check/observer_mode.h); FaultBuffer aliases the
- * Dynamic specialization.
+ * insert/drain (src/check/observer_mode.h).
  */
 
 #ifndef BAUVM_UVM_FAULT_BUFFER_H_
@@ -176,14 +175,8 @@ class FaultBufferT final : public FaultBufferBase
     }
 };
 
-extern template class FaultBufferT<ObserverMode::Dynamic>;
 extern template class FaultBufferT<ObserverMode::None>;
-extern template class FaultBufferT<ObserverMode::Trace>;
-extern template class FaultBufferT<ObserverMode::Audit>;
-extern template class FaultBufferT<ObserverMode::Both>;
-
-/** Historical name: the runtime-dispatched (Dynamic) specialization. */
-using FaultBuffer = FaultBufferT<ObserverMode::Dynamic>;
+extern template class FaultBufferT<ObserverMode::Observed>;
 
 } // namespace bauvm
 

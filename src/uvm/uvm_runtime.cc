@@ -196,7 +196,7 @@ UvmRuntimeT<M>::onPageFault(PageNum vpn, WakeFn waiter)
     fault_buffer_store_.insert(vpn, now, tenantFor(vpn));
     if (state_ == State::Idle) {
         state_ = State::InterruptPending;
-        if constexpr (observesAudit(M)) {
+        if constexpr (observed(M)) {
             if (hooks_.audit)
                 hooks_.audit->onInterruptRaised(now);
         }
@@ -210,7 +210,7 @@ UvmRuntimeT<M>::batchBegin()
 {
     // Chained: entered straight from batchEnd() with no interrupt
     // round trip (state still BatchActive at the call).
-    if constexpr (observesAudit(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.audit) {
             hooks_.audit->onBatchBegin(events_.now(),
                                        state_ == State::BatchActive);
@@ -228,7 +228,7 @@ UvmRuntimeT<M>::batchBegin()
     // so the first migration never waits on an eviction.
     if (config_.unobtrusive_eviction && !config_.ideal_eviction &&
         manager_.atCapacity() && evictions_in_flight_ == 0) {
-        if constexpr (observesAudit(M)) {
+        if constexpr (observed(M)) {
             if (hooks_.audit)
                 hooks_.audit->onPreemptiveEviction(events_.now());
         }
@@ -281,7 +281,7 @@ UvmRuntimeT<M>::batchBegin()
         handling_cycles_ +
         usToCycles(config_.fault_handling_per_page_us) *
             current_.fault_pages;
-    if constexpr (observesTrace(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.trace) {
             hooks_.trace->interval(TraceEventType::FaultHandling,
                                    kTraceTrackRuntime, current_.begin,
@@ -317,15 +317,13 @@ UvmRuntimeT<M>::launchEviction(Cycle earliest, TenantId cause)
     Cycle begin = 0;
     const Cycle done = pcie_.transfer(PcieDir::DeviceToHost, bytes,
                                       earliest, &begin);
-    if constexpr (observesTrace(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.trace) {
             hooks_.trace->interval(TraceEventType::Eviction,
                                    kTraceTrackPcieD2h, begin, done,
                                    victim,
                                    static_cast<std::uint32_t>(bytes));
         }
-    }
-    if constexpr (observesAudit(M)) {
         if (hooks_.audit)
             hooks_.audit->onEvictionTransfer(victim, begin, done, bytes);
     }
@@ -344,14 +342,12 @@ UvmRuntimeT<M>::scheduleMigration(PageNum vpn)
     Cycle start = 0;
     const Cycle done = pcie_.transfer(PcieDir::HostToDevice, bytes,
                                       events_.now(), &start);
-    if constexpr (observesTrace(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.trace) {
             hooks_.trace->interval(TraceEventType::Migration,
                                    kTraceTrackPcieH2d, start, done, vpn,
                                    static_cast<std::uint32_t>(bytes));
         }
-    }
-    if constexpr (observesAudit(M)) {
         if (hooks_.audit) {
             hooks_.audit->onMigrationScheduled(vpn, events_.now(),
                                                start, done, bytes);
@@ -455,15 +451,13 @@ UvmRuntimeT<M>::batchEnd()
         // handling still consumed runtime time.
         current_.first_transfer = current_.end;
     }
-    if constexpr (observesTrace(M)) {
+    if constexpr (observed(M)) {
         if (hooks_.trace) {
             hooks_.trace->interval(TraceEventType::BatchWindow,
                                    kTraceTrackRuntime, current_.begin,
                                    current_.end, current_.fault_pages,
                                    current_.prefetch_pages);
         }
-    }
-    if constexpr (observesAudit(M)) {
         if (hooks_.audit) {
             hooks_.audit->onBatchEnd(current_.end, current_.fault_pages,
                                      current_.prefetch_pages);
@@ -515,10 +509,7 @@ UvmRuntimeT<M>::maybeProactiveEvict()
     }
 }
 
-template class UvmRuntimeT<ObserverMode::Dynamic>;
 template class UvmRuntimeT<ObserverMode::None>;
-template class UvmRuntimeT<ObserverMode::Trace>;
-template class UvmRuntimeT<ObserverMode::Audit>;
-template class UvmRuntimeT<ObserverMode::Both>;
+template class UvmRuntimeT<ObserverMode::Observed>;
 
 } // namespace bauvm

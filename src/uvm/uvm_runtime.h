@@ -38,8 +38,7 @@
  * The class splits along the hot/cold line for observer specialization
  * (src/check/observer_mode.h): UvmRuntimeBase owns all state, wiring
  * and queries; UvmRuntimeT<M> adds the fault intake / batch / migration
- * / eviction path compiled for observer mode M. UvmRuntime aliases the
- * Dynamic specialization. The PCIe link and prefetcher sub-components
+ * / eviction path compiled for observer mode M. The PCIe link and prefetcher sub-components
  * keep their runtime-checked hooks: they fire per transfer / per batch,
  * not per fault, so they stay off the specialized hot loop.
  */
@@ -325,14 +324,8 @@ class UvmRuntimeT final : public UvmRuntimeBase
     FaultBufferT<M> fault_buffer_store_;
 };
 
-extern template class UvmRuntimeT<ObserverMode::Dynamic>;
 extern template class UvmRuntimeT<ObserverMode::None>;
-extern template class UvmRuntimeT<ObserverMode::Trace>;
-extern template class UvmRuntimeT<ObserverMode::Audit>;
-extern template class UvmRuntimeT<ObserverMode::Both>;
-
-/** Historical name: the runtime-dispatched (Dynamic) specialization. */
-using UvmRuntime = UvmRuntimeT<ObserverMode::Dynamic>;
+extern template class UvmRuntimeT<ObserverMode::Observed>;
 
 } // namespace bauvm
 

@@ -2,16 +2,16 @@
  * @file
  * Tests for the online model auditor (src/check): seeded-mutation
  * coverage of every catalogued invariant (each illegal event sequence
- * must panic with a structured diagnostic), the zero-perturbation
- * guarantee (auditing must not change simulated results), the
- * TLB/page-table coherence edges (eviction while translated, stale
- * walk outcomes), the SimHooks/WorkloadRegistry API surface, and the
- * audited-vs-unaudited fig11 matrix at Small scale.
+ * must panic with a structured diagnostic), the TLB/page-table
+ * coherence edges (eviction while translated, stale walk outcomes),
+ * the SimHooks/WorkloadRegistry API surface, the audited-vs-unaudited
+ * fig11 matrix at Small scale, and how the fig11 speedup table renders
+ * failed cells. The zero-perturbation guarantee for auditing lives
+ * with tracing's in test_trace.cc (ObservedRun).
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -500,8 +500,8 @@ TEST(HierarchyAudit, EvictionShootdownKeepsCoherence)
     const std::uint64_t page_bytes = 64 * 1024;
     PageTable pt;
     ModelAuditor a(UvmConfig{});
-    MemoryHierarchy mh(MemConfig{}, 1, page_bytes, pt,
-                       SimHooks{nullptr, &a, nullptr});
+    MemoryHierarchyT<ObserverMode::Observed> mh(
+        MemConfig{}, 1, page_bytes, pt, SimHooks{nullptr, &a, nullptr});
 
     shadowResident(a, 3);
     pt.map(3, 0);
@@ -527,8 +527,8 @@ TEST(HierarchyAudit, MissedShootdownAfterEvictionPanics)
     const std::uint64_t page_bytes = 64 * 1024;
     PageTable pt;
     ModelAuditor a(UvmConfig{});
-    MemoryHierarchy mh(MemConfig{}, 1, page_bytes, pt,
-                       SimHooks{nullptr, &a, nullptr});
+    MemoryHierarchyT<ObserverMode::Observed> mh(
+        MemConfig{}, 1, page_bytes, pt, SimHooks{nullptr, &a, nullptr});
 
     shadowResident(a, 3);
     pt.map(3, 0);
@@ -552,8 +552,8 @@ TEST(HierarchyAudit, StaleWalkDuringEvictionPanics)
     const std::uint64_t page_bytes = 64 * 1024;
     PageTable pt;
     ModelAuditor a(UvmConfig{});
-    MemoryHierarchy mh(MemConfig{}, 1, page_bytes, pt,
-                       SimHooks{nullptr, &a, nullptr});
+    MemoryHierarchyT<ObserverMode::Observed> mh(
+        MemConfig{}, 1, page_bytes, pt, SimHooks{nullptr, &a, nullptr});
 
     shadowResident(a, 3); // shadow resident, page table never mapped
     const std::string msg = expectAuditPanic([&] {
@@ -575,28 +575,6 @@ TEST(SystemAudit, AuditorIsOwnedWhenEnabled)
     // same way any simulation abort does (ScopedAbortCapture-friendly).
     ScopedAbortCapture capture;
     EXPECT_THROW(system.audit()->onEvictionBegin(1, 0, 0), SimAbort);
-}
-
-TEST(SystemAudit, AuditingDoesNotPerturbSimulatedResults)
-{
-    auto runOnce = [](bool audited) {
-        SimConfig config = applyPolicy(paperConfig(0.5), Policy::ToUe);
-        config.check.enabled = audited;
-        auto workload = WorkloadRegistry::instance().create("BFS-TWC");
-        GpuUvmSystem system(config);
-        return system.run(*workload, WorkloadScale::Tiny);
-    };
-    const RunResult off = runOnce(false);
-    const RunResult on = runOnce(true);
-    EXPECT_EQ(off.cycles, on.cycles);
-    EXPECT_EQ(off.sim_events, on.sim_events);
-    EXPECT_EQ(off.batches, on.batches);
-    EXPECT_EQ(off.migrations, on.migrations);
-    EXPECT_EQ(off.evictions, on.evictions);
-    EXPECT_EQ(off.instructions, on.instructions);
-    EXPECT_EQ(off.context_switches, on.context_switches);
-    EXPECT_EQ(off.pcie_h2d_bytes, on.pcie_h2d_bytes);
-    EXPECT_EQ(off.pcie_d2h_bytes, on.pcie_d2h_bytes);
 }
 
 // ---- bench plumbing ------------------------------------------------
@@ -682,60 +660,25 @@ TEST(WorkloadRegistryApi, UnknownNameFailsListingKnownNames)
 
 // ---- audited fig11 matrix ------------------------------------------
 
-/** Renders the fig11 stdout (table + means) from a sweep result,
- *  mirroring bench/fig11_speedup.cc. */
-std::string
-fig11Text(const SweepResult &sweep,
-          const std::vector<std::string> &workloads,
-          const std::vector<Policy> &policies)
+/**
+ * One irregular workload's fig11 row set at Small scale, audited vs
+ * unaudited, over every policy: every cell must succeed in both
+ * sweeps, the rendered rows must be byte-identical, and every cell
+ * must dispatch the same events in the same order. One case per
+ * workload, so ctest -j spreads the full matrix across workers.
+ */
+class Fig11Audit : public ::testing::TestWithParam<std::string>
 {
-    std::vector<std::string> headers = {"workload"};
-    for (Policy p : policies)
-        headers.push_back(policyName(p));
-    Table t(headers);
-    std::map<Policy, std::vector<double>> speedups;
-    for (const auto &w : workloads) {
-        const CellOutcome *base = sweep.find(w, Policy::Baseline);
-        if (!base || !base->ok)
-            continue;
-        const double base_cycles =
-            static_cast<double>(base->result.cycles);
-        std::vector<std::string> row = {w};
-        for (Policy p : policies) {
-            const CellOutcome *cell = sweep.find(w, p);
-            if (!cell || !cell->ok) {
-                row.push_back("FAIL");
-                continue;
-            }
-            const double s =
-                base_cycles / static_cast<double>(cell->result.cycles);
-            speedups[p].push_back(s);
-            row.push_back(Table::num(s, 2));
-        }
-        t.addRow(row);
-    }
-    std::vector<std::string> avg = {"AVERAGE"};
-    for (Policy p : policies)
-        avg.push_back(Table::num(amean(speedups[p]), 2));
-    t.addRow(avg);
-    std::vector<std::string> gmean = {"GEOMEAN"};
-    for (Policy p : policies)
-        gmean.push_back(Table::num(geomean(speedups[p]), 2));
-    t.addRow(gmean);
-    return t.toText();
-}
+};
 
-TEST(Fig11Audit, AuditedMatrixPrintsByteIdenticalOutput)
+TEST_P(Fig11Audit, AuditedRowsAreByteIdentical)
 {
-    // The full fig11 matrix at Small scale, audited vs unaudited: the
-    // printed figure must be byte-identical, every audited cell must
-    // succeed, and the audit must actually have checked something.
     GraphBuildCache::Scope graph_scope; // share builds across sweeps
 
     auto runSweep = [](bool audited) {
         SweepSpec spec;
         spec.bench = "fig11_audit_test";
-        spec.workloads = WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular);
+        spec.workloads = {GetParam()};
         spec.policies = allPolicies();
         spec.opt.scale = WorkloadScale::Small;
         spec.opt.audit = audited;
@@ -749,11 +692,119 @@ TEST(Fig11Audit, AuditedMatrixPrintsByteIdenticalOutput)
     ASSERT_EQ(plain.failedCells(), 0u);
     ASSERT_EQ(audited.failedCells(), 0u);
 
-    const std::string plain_text =
-        fig11Text(plain, WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular), allPolicies());
-    const std::string audited_text =
-        fig11Text(audited, WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular), allPolicies());
-    EXPECT_EQ(plain_text, audited_text);
+    auto rows = [](const SweepResult &sweep) {
+        return buildSpeedupTable(sweep, {GetParam()}, allPolicies(),
+                                 SpeedupMeans::Both)
+            .table.toText();
+    };
+    EXPECT_EQ(rows(plain), rows(audited));
+
+    ASSERT_EQ(plain.cells.size(), audited.cells.size());
+    for (std::size_t i = 0; i < plain.cells.size(); ++i) {
+        EXPECT_EQ(plain.cells[i].result.event_order_digest,
+                  audited.cells[i].result.event_order_digest)
+            << policyName(plain.cells[i].policy);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Irregular, Fig11Audit,
+    ::testing::ValuesIn(
+        WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular)),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string name = info.param;
+        for (char &c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
+
+// ---- failed cells in the speedup table ------------------------------
+
+/** A finished (or failed) fig11 cell with a fixed cycle count. */
+CellOutcome
+fixedCell(const std::string &workload, Policy policy, Cycle cycles,
+          bool ok = true)
+{
+    CellOutcome c;
+    c.workload = workload;
+    c.policy = policy;
+    c.ok = ok;
+    c.result.cycles = ok ? cycles : 0;
+    return c;
+}
+
+/** Two workloads x {BASELINE, TO+UE, ETC}; speedups 2.00 and 4.00. */
+SweepResult
+handBuiltSweep(bool etc_ok)
+{
+    SweepResult sweep;
+    sweep.bench = "fig11_failed_etc_test";
+    for (const char *w : {"A", "B"}) {
+        sweep.cells.push_back(fixedCell(w, Policy::Baseline, 400));
+        sweep.cells.push_back(
+            fixedCell(w, Policy::ToUe, w[0] == 'A' ? 200 : 100));
+        sweep.cells.push_back(fixedCell(w, Policy::Etc, 400, etc_ok));
+    }
+    return sweep;
+}
+
+const std::vector<Policy> kToueEtc = {Policy::Baseline, Policy::ToUe,
+                                      Policy::Etc};
+
+TEST(SpeedupTableFailures, NoFailedCellsKeepsNumericMeans)
+{
+    const SpeedupTable t = buildSpeedupTable(
+        handBuiltSweep(true), {"A", "B"}, kToueEtc, SpeedupMeans::Both);
+    EXPECT_EQ(t.table.toText(),
+              "workload  BASELINE  TO+UE  ETC   \n"
+              "---------------------------------\n"
+              "A         1.00      2.00   1.00  \n"
+              "B         1.00      4.00   1.00  \n"
+              "AVERAGE   1.00      3.00   1.00  \n"
+              "GEOMEAN   1.00      2.83   1.00  \n");
+    const std::string summary = section52Summary(t);
+    EXPECT_NE(summary.find("TO+UE vs ETC:                 3.00x (1.79x)"),
+              std::string::npos)
+        << summary;
+}
+
+TEST(SpeedupTableFailures, FailedEtcColumnPrintsNaWithExcludedCount)
+{
+    const SpeedupTable t = buildSpeedupTable(
+        handBuiltSweep(false), {"A", "B"}, kToueEtc, SpeedupMeans::Both);
+    EXPECT_EQ(t.table.toText(),
+              "workload  BASELINE  TO+UE  ETC           \n"
+              "-----------------------------------------\n"
+              "A         1.00      2.00   FAIL          \n"
+              "B         1.00      4.00   FAIL          \n"
+              "AVERAGE   1.00      3.00   n/a (2 excl)  \n"
+              "GEOMEAN   1.00      2.83   n/a (2 excl)  \n");
+    EXPECT_FALSE(t.average(Policy::Etc).has_value());
+
+    const std::string summary = section52Summary(t);
+    EXPECT_NE(summary.find("TO+UE vs BASELINE:            3.00x (2.00x)"),
+              std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("TO+UE vs ETC:                 n/a (1.79x)"),
+              std::string::npos)
+        << summary;
+    EXPECT_EQ(summary.find("0.00x"), std::string::npos) << summary;
+}
+
+TEST(SpeedupTableFailures, PartlyFailedColumnShowsExcludedCount)
+{
+    SweepResult sweep = handBuiltSweep(true);
+    sweep.cells[2].ok = false; // ETC on A
+    const SpeedupTable t = buildSpeedupTable(sweep, {"A", "B"}, kToueEtc,
+                                             SpeedupMeans::Average);
+    EXPECT_EQ(t.table.toText(),
+              "workload  BASELINE  TO+UE  ETC            \n"
+              "------------------------------------------\n"
+              "A         1.00      2.00   FAIL           \n"
+              "B         1.00      4.00   1.00           \n"
+              "AVERAGE   1.00      3.00   1.00 (1 excl)  \n");
 }
 
 } // namespace

@@ -124,7 +124,7 @@ class FaultBufferCapacity
 TEST_P(FaultBufferCapacity, NeverHoldsMoreThanCapacity)
 {
     PageMetaTable meta;
-    FaultBuffer fb(GetParam(), meta);
+    FaultBufferT<ObserverMode::None> fb(GetParam(), meta);
     for (PageNum p = 0; p < 4096; ++p)
         fb.insert(p, p);
     EXPECT_LE(fb.size(), GetParam());
@@ -134,7 +134,7 @@ TEST_P(FaultBufferCapacity, DrainsEverythingEventually)
 {
     const std::uint32_t cap = GetParam();
     PageMetaTable meta;
-    FaultBuffer fb(cap, meta);
+    FaultBufferT<ObserverMode::None> fb(cap, meta);
     const PageNum total = cap * 3;
     for (PageNum p = 0; p < total; ++p)
         fb.insert(p, p);
@@ -192,7 +192,7 @@ TEST_P(PageCountSweep, ResidentPagesNeverFault)
     PageTable pt;
     for (PageNum p = 0; p < pages; ++p)
         pt.map(p, p);
-    MemoryHierarchy hier(config, 1, 64 * 1024, pt);
+    MemoryHierarchyT<ObserverMode::None> hier(config, 1, 64 * 1024, pt);
     Rng rng(5);
     for (int i = 0; i < 2000; ++i) {
         const VAddr addr = rng.nextBelow(pages) * 64 * 1024 +

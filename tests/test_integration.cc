@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -43,8 +42,8 @@ TEST(Integration, DeterministicCycleCounts)
 
 /**
  * Builds the fig11-style speedup table for a tiny two-workload,
- * three-policy sweep — the same table construction as
- * bench/fig11_speedup, shrunk to regression size.
+ * three-policy sweep — the same table builder bench/fig11_speedup
+ * uses, shrunk to regression size.
  */
 std::string
 miniFig11Table(std::size_t jobs)
@@ -60,32 +59,9 @@ miniFig11Table(std::size_t jobs)
     spec.verbose = false;
 
     SweepRunner runner(spec);
-    const SweepResult sweep = runner.run();
-
-    std::vector<std::string> headers = {"workload"};
-    for (Policy p : spec.policies)
-        headers.push_back(policyName(p));
-    Table t(headers);
-    std::map<Policy, std::vector<double>> speedups;
-    for (const auto &w : spec.workloads) {
-        const CellOutcome *base = sweep.find(w, Policy::Baseline);
-        const double base_cycles =
-            static_cast<double>(base->result.cycles);
-        std::vector<std::string> row = {w};
-        for (Policy p : spec.policies) {
-            const CellOutcome *cell = sweep.find(w, p);
-            const double s =
-                base_cycles / static_cast<double>(cell->result.cycles);
-            speedups[p].push_back(s);
-            row.push_back(Table::num(s, 2));
-        }
-        t.addRow(row);
-    }
-    std::vector<std::string> avg = {"AVERAGE"};
-    for (Policy p : spec.policies)
-        avg.push_back(Table::num(amean(speedups[p]), 2));
-    t.addRow(avg);
-    return t.toText();
+    return buildSpeedupTable(runner.run(), spec.workloads, spec.policies,
+                             SpeedupMeans::Average)
+        .table.toText();
 }
 
 /**

@@ -126,7 +126,12 @@ class FaultLoop
 
 /**
  * One independent fault-loop stack — the per-unit state an intra-cell
- * worker thread owns. Warm-up mirrors the single-threaded test.
+ * worker thread owns. The root chunk is small so the loop exercises
+ * the chunk page FIFOs. warmUp() grows the metadata table, waiter slab,
+ * batch scratch and event slabs to steady-state capacity, then keeps
+ * running rounds until the batch-record vector has headroom for the
+ * measured round (its once-per-batch push_back is the only amortized
+ * growth left on the path).
  */
 template <ObserverMode M>
 struct LoopStack {
@@ -172,57 +177,35 @@ struct LoopStack {
 
 TEST(MemAlloc, SteadyStateFaultPathIsAllocationFree)
 {
-    UvmConfig config;
-    config.root_chunk_pages = 4; // exercise the chunk page FIFOs
-    EventQueue events;
-    GpuMemoryManager manager(config, /*capacity_pages=*/8);
-    MemoryHierarchy hierarchy(MemConfig{}, 1, config.page_bytes,
-                              manager.pageTable());
-    UvmRuntime runtime(config, events, manager, hierarchy);
-    runtime.registerAllocation(0, 64 * config.page_bytes);
-
-    FaultLoop<UvmRuntime> loop(runtime, events);
-    const std::uint64_t kFaults = 512;
-
-    // Warm-up: grow the metadata table, waiter slab, batch scratch and
-    // event slabs to steady-state capacity, then keep running rounds
-    // until the batch-record vector has headroom for the measured
-    // round (its once-per-batch push_back is the only amortized growth
-    // left on the path).
-    loop.run(kFaults);
-    const std::uint64_t before = runtime.batches();
-    loop.run(kFaults);
-    const std::uint64_t per_round = runtime.batches() - before;
-    ASSERT_GT(per_round, 0u);
-    while (runtime.batchRecords().capacity() -
-               runtime.batchRecords().size() <
-           2 * per_round + 8)
-        loop.run(kFaults);
+    constexpr std::uint64_t kFaults = 512;
+    LoopStack<ObserverMode::None> stack;
+    stack.warmUp(kFaults);
 
     const std::uint64_t fallbacks_before =
-        UvmRuntime::WakeFn::heapFallbacks();
+        UvmRuntimeBase::WakeFn::heapFallbacks();
     g_allocs.store(0);
     g_counting.store(true);
-    const std::uint64_t woken = loop.run(kFaults);
+    const std::uint64_t woken = stack.loop.run(kFaults);
     g_counting.store(false);
 
     EXPECT_EQ(woken, kFaults);
-    EXPECT_GT(manager.evictions(), 0u) << "loop must run under pressure";
-    EXPECT_GT(runtime.prefetchedPages(), 0u)
+    EXPECT_GT(stack.manager.evictions(), 0u)
+        << "loop must run under pressure";
+    EXPECT_GT(stack.runtime.prefetchedPages(), 0u)
         << "loop must exercise the prefetcher";
     EXPECT_EQ(g_allocs.load(), 0u)
         << "steady-state fault/migrate/evict/wake must not allocate";
-    EXPECT_EQ(UvmRuntime::WakeFn::heapFallbacks(), fallbacks_before)
+    EXPECT_EQ(UvmRuntimeBase::WakeFn::heapFallbacks(), fallbacks_before)
         << "waiter captures within the inline budget must stay inline";
 }
 
 /**
- * The observer-specialized {None} variant — the one a hookless sweep
- * cell actually instantiates — must stay allocation-free in steady
- * state even when two intra-cell worker threads drive independent
- * stacks concurrently (the --cell-threads shape). The global
- * operator-new hook counts allocations process-wide, so a single
- * stray allocation on either worker fails the test.
+ * The {None} path — the one a hookless sweep cell instantiates — must
+ * stay allocation-free in steady state even when two intra-cell worker
+ * threads drive independent stacks concurrently (the --cell-threads
+ * shape). The global operator-new hook counts allocations
+ * process-wide, so a single stray allocation on either worker fails
+ * the test.
  */
 TEST(MemAlloc, SpecializedNonePathIsAllocationFreeOnTwoThreads)
 {

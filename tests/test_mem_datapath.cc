@@ -116,9 +116,10 @@ TEST(UvmRuntimeWaiters, WakeInFifoRegistrationOrder)
     UvmConfig config;
     EventQueue events;
     GpuMemoryManager manager(config, 8);
-    MemoryHierarchy hierarchy(MemConfig{}, 1, config.page_bytes,
-                              manager.pageTable());
-    UvmRuntime runtime(config, events, manager, hierarchy);
+    MemoryHierarchyT<ObserverMode::None> hierarchy(
+        MemConfig{}, 1, config.page_bytes, manager.pageTable());
+    UvmRuntimeT<ObserverMode::None> runtime(config, events, manager,
+                                            hierarchy);
     runtime.registerAllocation(0, 16 * config.page_bytes);
 
     std::vector<int> order;
@@ -285,7 +286,7 @@ TEST(TraceReplayDifferential, EvictionOrderMatchesLegacyReplay)
 TEST(FaultBufferDifferential, RandomTrafficMatchesLegacy)
 {
     PageMetaTable meta;
-    FaultBuffer fb(64, meta);
+    FaultBufferT<ObserverMode::None> fb(64, meta);
     LegacyFaultBuffer legacy(64);
     Rng rng(7);
     Cycle now = 0;

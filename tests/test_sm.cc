@@ -65,10 +65,10 @@ class SmTest : public ::testing::Test
 
     EventQueue events_;
     GpuMemoryManager manager_;
-    MemoryHierarchy hierarchy_;
-    UvmRuntime runtime_;
+    MemoryHierarchyT<ObserverMode::None> hierarchy_;
+    UvmRuntimeT<ObserverMode::None> runtime_;
     Recorder recorder_;
-    Sm sm_;
+    SmT<ObserverMode::None> sm_;
 };
 
 WarpProgram

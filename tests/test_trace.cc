@@ -2,9 +2,9 @@
  * @file
  * Tests for the tracing subsystem: ring buffer semantics (wrap,
  * overflow accounting), exporter well-formedness, the zero-perturbation
- * guarantee (tracing must not change simulated results), the UE
- * channel-overlap signature, and the sweep runner's partial flush of
- * aborted cells.
+ * guarantee (tracing and auditing must not change simulated results),
+ * the UE channel-overlap signature, and the sweep runner's partial
+ * flush of aborted cells.
  */
 
 #include <gtest/gtest.h>
@@ -128,42 +128,86 @@ TEST(TraceExport, CounterCsvHasHeaderRowsAndDropTrailer)
     EXPECT_NE(csv.find("# dropped_events,0"), std::string::npos);
 }
 
-/** Runs one tiny cell with tracing on or off; the system (and with it
- *  the trace sink) stays alive in @p keep_alive. */
+/** Runs one tiny BFS-TWC cell with the given observers attached; the
+ *  system (and with it the trace sink and auditor) stays alive as
+ *  @p keep_alive.back(). */
 RunResult
-runTraced(Policy policy, bool tracing, TraceSink **sink_out,
-          std::vector<std::unique_ptr<GpuUvmSystem>> &keep_alive)
+runObserved(Policy policy, bool tracing, bool auditing,
+            std::vector<std::unique_ptr<GpuUvmSystem>> &keep_alive)
 {
     SimConfig config =
         paperConfig(0.5, deriveWorkloadSeed(1, "BFS-TWC"));
     config = applyPolicy(config, policy);
     config.trace.enabled = tracing;
+    config.check.enabled = auditing;
     auto workload = WorkloadRegistry::instance().create("BFS-TWC");
     keep_alive.push_back(std::make_unique<GpuUvmSystem>(config));
-    GpuUvmSystem &system = *keep_alive.back();
-    const RunResult r = system.run(*workload, WorkloadScale::Tiny);
-    if (sink_out)
-        *sink_out = system.trace();
-    return r;
+    return keep_alive.back()->run(*workload, WorkloadScale::Tiny);
 }
 
-TEST(TraceSystem, TracingDoesNotPerturbSimulatedResults)
+/** The observers one ObservedRun case attaches. */
+struct Observers {
+    bool trace;
+    bool audit;
+    const char *name;
+};
+
+void
+PrintTo(const Observers &o, std::ostream *os)
+{
+    *os << o.name;
+}
+
+/**
+ * Observing a run must not perturb it: every observer combination
+ * shares the ObserverMode::Observed hot path, and each must match the
+ * unobserved ObserverMode::None run field for field, down to the order
+ * in which events were dispatched.
+ */
+class ObservedRun : public ::testing::TestWithParam<Observers>
+{
+};
+
+TEST_P(ObservedRun, DoesNotPerturbSimulatedResults)
 {
     std::vector<std::unique_ptr<GpuUvmSystem>> keep;
-    const RunResult off = runTraced(Policy::ToUe, false, nullptr, keep);
-    TraceSink *sink = nullptr;
-    const RunResult on = runTraced(Policy::ToUe, true, &sink, keep);
+    const RunResult off = runObserved(Policy::ToUe, false, false, keep);
+    const RunResult on = runObserved(Policy::ToUe, GetParam().trace,
+                                     GetParam().audit, keep);
 
-    ASSERT_NE(sink, nullptr);
-    EXPECT_GT(sink->totalEvents(), 0u);
+    GpuUvmSystem &observed = *keep.back();
+    if (GetParam().trace) {
+        ASSERT_NE(observed.trace(), nullptr);
+        EXPECT_GT(observed.trace()->totalEvents(), 0u);
+    } else {
+        EXPECT_EQ(observed.trace(), nullptr);
+    }
+    if (GetParam().audit) {
+        ASSERT_NE(observed.audit(), nullptr);
+        EXPECT_GT(observed.audit()->checksPerformed(), 0u);
+    } else {
+        EXPECT_EQ(observed.audit(), nullptr);
+    }
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.sim_events, on.sim_events);
+    EXPECT_EQ(off.event_order_digest, on.event_order_digest);
     EXPECT_EQ(off.batches, on.batches);
     EXPECT_EQ(off.migrations, on.migrations);
     EXPECT_EQ(off.evictions, on.evictions);
     EXPECT_EQ(off.instructions, on.instructions);
     EXPECT_EQ(off.context_switches, on.context_switches);
+    EXPECT_EQ(off.pcie_h2d_bytes, on.pcie_h2d_bytes);
+    EXPECT_EQ(off.pcie_d2h_bytes, on.pcie_d2h_bytes);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Observers, ObservedRun,
+    ::testing::Values(Observers{true, false, "Trace"},
+                      Observers{false, true, "Audit"},
+                      Observers{true, true, "TraceAndAudit"}),
+    [](const ::testing::TestParamInfo<Observers> &info) {
+        return std::string(info.param.name);
+    });
 
 struct Span {
     Cycle begin, end;
@@ -209,10 +253,10 @@ overlapCycles(const std::vector<Span> &a, const std::vector<Span> &b)
 TEST(TraceSystem, UnobtrusiveEvictionOverlapsPcieChannels)
 {
     std::vector<std::unique_ptr<GpuUvmSystem>> keep;
-    TraceSink *base_sink = nullptr;
-    TraceSink *toue_sink = nullptr;
-    runTraced(Policy::Baseline, true, &base_sink, keep);
-    runTraced(Policy::ToUe, true, &toue_sink, keep);
+    runObserved(Policy::Baseline, true, false, keep);
+    const TraceSink *base_sink = keep.back()->trace();
+    runObserved(Policy::ToUe, true, false, keep);
+    const TraceSink *toue_sink = keep.back()->trace();
     ASSERT_NE(base_sink, nullptr);
     ASSERT_NE(toue_sink, nullptr);
 

@@ -31,9 +31,9 @@ struct RuntimeHarness
         config_ = config;
         manager_ =
             std::make_unique<GpuMemoryManager>(config, capacity_pages);
-        hierarchy_ = std::make_unique<MemoryHierarchy>(
+        hierarchy_ = std::make_unique<MemoryHierarchyT<ObserverMode::None>>(
             mem_config_, 1, config.page_bytes, manager_->pageTable());
-        runtime_ = std::make_unique<UvmRuntime>(
+        runtime_ = std::make_unique<UvmRuntimeT<ObserverMode::None>>(
             config, events_, *manager_, *hierarchy_);
         runtime_->registerAllocation(0, 1024 * kPage);
     }
@@ -51,8 +51,8 @@ struct RuntimeHarness
     UvmConfig config_;
     MemConfig mem_config_;
     std::unique_ptr<GpuMemoryManager> manager_;
-    std::unique_ptr<MemoryHierarchy> hierarchy_;
-    std::unique_ptr<UvmRuntime> runtime_;
+    std::unique_ptr<MemoryHierarchyT<ObserverMode::None>> hierarchy_;
+    std::unique_ptr<UvmRuntimeT<ObserverMode::None>> runtime_;
     std::vector<std::pair<PageNum, Cycle>> wakes_;
 };
 
@@ -271,10 +271,10 @@ TEST_F(UvmRuntimeTest, PrefetchRidesAlongWithDemand)
     config.prefetch_enabled = true;
     config_ = config;
     manager_ = std::make_unique<GpuMemoryManager>(config, 0);
-    hierarchy_ = std::make_unique<MemoryHierarchy>(
+    hierarchy_ = std::make_unique<MemoryHierarchyT<ObserverMode::None>>(
         mem_config_, 1, config.page_bytes, manager_->pageTable());
-    runtime_ = std::make_unique<UvmRuntime>(config, events_, *manager_,
-                                            *hierarchy_);
+    runtime_ = std::make_unique<UvmRuntimeT<ObserverMode::None>>(
+        config, events_, *manager_, *hierarchy_);
     runtime_->registerAllocation(0, 1024 * kPage);
     // 3 of 4 pages in a subtree: the 4th is prefetched.
     fault(0);

@@ -85,7 +85,7 @@ TEST(PcieLink, StatsPerDirection)
 TEST(FaultBuffer, DeduplicatesPerPage)
 {
     PageMetaTable meta;
-    FaultBuffer fb(8, meta);
+    FaultBufferT<ObserverMode::None> fb(8, meta);
     fb.insert(5, 10);
     fb.insert(5, 11);
     fb.insert(6, 12);
@@ -101,7 +101,7 @@ TEST(FaultBuffer, DeduplicatesPerPage)
 TEST(FaultBuffer, OverflowQueuesAndRefills)
 {
     PageMetaTable meta;
-    FaultBuffer fb(2, meta);
+    FaultBufferT<ObserverMode::None> fb(2, meta);
     fb.insert(1, 0);
     fb.insert(2, 0);
     fb.insert(3, 0); // overflow
@@ -119,7 +119,7 @@ TEST(FaultBuffer, OverflowQueuesAndRefills)
 TEST(FaultBuffer, CountsTotalFaults)
 {
     PageMetaTable meta;
-    FaultBuffer fb(8, meta);
+    FaultBufferT<ObserverMode::None> fb(8, meta);
     fb.insert(1, 0);
     fb.insert(1, 1);
     fb.insert(2, 2);
