@@ -19,6 +19,13 @@
  *                      chunk LRU and per-chunk page FIFOs;
  *  - MemPrefetchBatch: one tree-prefetch analysis over a dense fault
  *                      batch — persistent scratch vs per-batch maps.
+ *
+ * Two shapes time the GPU memory hierarchy's translation structures
+ * and have no legacy twin:
+ *  - MemShootdown:          eviction shootdowns across 16 SMs' full
+ *                           L1 TLBs and the L2 TLB;
+ *  - MemTranslateTlbMiss:   accesses whose pages mostly miss the L1
+ *                           TLB and hit the L2 TLB.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,6 +33,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/mem/memory_hierarchy.h"
+#include "src/mem/page_table.h"
 #include "src/sim/config.h"
 #include "src/sim/types.h"
 #include "src/uvm/fault_buffer.h"
@@ -215,6 +224,76 @@ BM_LegacyMemPrefetchBatch(benchmark::State &state)
 }
 BENCHMARK(BM_LegacyMemPrefetchBatch);
 #endif // BAUVM_LEGACY_DIFFERENTIAL
+
+// ------------------------------------------- MemShootdown / TlbMiss
+
+constexpr std::uint32_t kSms = 16;
+constexpr std::uint64_t kPageBytes = 64 * 1024;
+
+/**
+ * Shoots down 128 pages per iteration on a 16-SM hierarchy whose 64-
+ * entry L1 TLBs (and the L2 TLB) hold the 64 even pages, so half of
+ * the shootdowns find the page in all 17 TLBs and half find it in
+ * none. Refilling the TLBs between iterations is not timed.
+ */
+void
+BM_MemShootdown(benchmark::State &state)
+{
+    constexpr PageNum kPages = 128;
+    const MemConfig config;
+    PageTable pt;
+    for (PageNum p = 0; p < kPages; ++p)
+        pt.map(p, p);
+    MemoryHierarchyT<ObserverMode::None> mem(config, kSms, kPageBytes,
+                                             pt);
+    Cycle now = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        for (std::uint32_t sm = 0; sm < kSms; ++sm)
+            for (PageNum p = 0; p < kPages; p += 2)
+                now = mem.access(sm, p * kPageBytes, false, now).done;
+        state.ResumeTiming();
+        for (PageNum p = 0; p < kPages; ++p)
+            mem.invalidatePage(p);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kPages);
+}
+BENCHMARK(BM_MemShootdown);
+
+/**
+ * One SM touches 256 resident pages in scrambled order: four times the
+ * L1 TLB's reach but within the L2 TLB's, so most accesses miss L1,
+ * hit L2 and refill L1 (an LRU victim choice each). Each page has one
+ * line, so the data side stays in the L2 cache.
+ */
+void
+BM_MemTranslateTlbMiss(benchmark::State &state)
+{
+    constexpr PageNum kPages = 256;
+    constexpr int kAccesses = 4096;
+    const MemConfig config;
+    PageTable pt;
+    for (PageNum p = 0; p < kPages; ++p)
+        pt.map(p, p);
+    MemoryHierarchyT<ObserverMode::None> mem(config, kSms, kPageBytes,
+                                             pt);
+    std::uint64_t x = 88172645463325252ull;
+    Cycle now = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < kAccesses; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            const PageNum p = x % kPages;
+            now = mem.access(0, p * kPageBytes + p % 128 * 128, false, now)
+                      .done;
+        }
+        benchmark::DoNotOptimize(now);
+    }
+    state.SetItemsProcessed(state.iterations() * kAccesses);
+}
+BENCHMARK(BM_MemTranslateTlbMiss);
 
 // ------------------------------------------------------- registration
 

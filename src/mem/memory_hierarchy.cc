@@ -27,6 +27,10 @@ MemoryHierarchyBase::MemoryHierarchyBase(const MemConfig &config,
     line_pow2_ = lb > 0 && (lb & (lb - 1)) == 0;
     if (line_pow2_)
         line_shift_ = std::countr_zero(lb);
+    if (config.mshrs_per_sm == 0)
+        fatal("MemoryHierarchy: mshrs_per_sm must be at least 1");
+    for (SlotQueue &q : mshrs_)
+        q.reserve(config.mshrs_per_sm);
     l1_tlbs_.reserve(num_sms);
     l1_caches_.reserve(num_sms);
     for (std::uint32_t i = 0; i < num_sms; ++i) {

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/check/model_auditor.h"
@@ -29,6 +28,7 @@
 #include "src/mem/dram.h"
 #include "src/mem/page_table.h"
 #include "src/mem/page_table_walker.h"
+#include "src/mem/slot_queue.h"
 #include "src/mem/tlb.h"
 #include "src/sim/config.h"
 #include "src/sim/types.h"
@@ -63,6 +63,8 @@ class MemoryHierarchyBase
      * @param hooks       observers: the auditor cross-checks every TLB
      *                    hit, TLB fill, shootdown and walk outcome
      *                    against its shadow residency.
+     *
+     * fatal() when the config sizes the MSHRs or walk threads at 0.
      */
     MemoryHierarchyBase(const MemConfig &config, std::uint32_t num_sms,
                         std::uint64_t page_bytes,
@@ -152,8 +154,7 @@ class MemoryHierarchyBase
     Dram dram_;
     Cycle extra_l2_latency_ = 0;
     /** Per-SM outstanding-miss completion times (MSHR occupancy). */
-    std::vector<std::priority_queue<Cycle, std::vector<Cycle>,
-                                    std::greater<>>> mshrs_;
+    std::vector<SlotQueue> mshrs_;
     std::uint64_t accesses_ = 0;
     std::uint64_t faults_ = 0;
     std::uint64_t walks_ = 0;

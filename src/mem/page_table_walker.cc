@@ -1,11 +1,16 @@
 #include "src/mem/page_table_walker.h"
 
+#include "src/sim/log.h"
+
 namespace bauvm
 {
 
 PageTableWalker::PageTableWalker(const MemConfig &config)
     : config_(config), pwc_(config.walk_cache_entries)
 {
+    if (config.walker_threads == 0)
+        fatal("PageTableWalker: walker_threads must be at least 1");
+    busy_.reserve(config.walker_threads);
 }
 
 Cycle

@@ -13,10 +13,9 @@
 #define BAUVM_MEM_PAGE_TABLE_WALKER_H_
 
 #include <cstdint>
-#include <queue>
-#include <vector>
 
 #include "src/mem/page_walk_cache.h"
+#include "src/mem/slot_queue.h"
 #include "src/sim/config.h"
 #include "src/sim/types.h"
 
@@ -34,6 +33,7 @@ namespace bauvm
 class PageTableWalker
 {
   public:
+    /** fatal() when @p config has no walk threads. */
     PageTableWalker(const MemConfig &config);
 
     /**
@@ -59,7 +59,7 @@ class PageTableWalker
     MemConfig config_;
     PageWalkCache pwc_;
     /** Completion times of in-flight walks, one per busy thread slot. */
-    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<>> busy_;
+    SlotQueue busy_;
     std::uint64_t walks_ = 0;
     std::uint64_t queueing_cycles_ = 0;
 };

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -35,11 +36,23 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-struct Knob {
-    const char *key;
-    void (*set)(SimConfig &, double);
+/** The values a knob accepts; checked before its setter runs. */
+enum class Domain : std::uint8_t {
+    Real,  //!< any double (reals and 0/1 booleans)
+    U32,   //!< an integer in [0, 2^32)
+    U64,   //!< an integer in [0, 2^64)
+    Size,  //!< an integer in [1, 2^32): sizes a structure
 };
 
+struct Knob {
+    const char *key;
+    Domain domain;
+    void (*set)(SimConfig &, double);
+    std::uint32_t max = 0; //!< inclusive upper bound when non-zero
+};
+
+// The casts below are defined only because applyConfigOverride has
+// checked the value against the knob's Domain.
 std::uint64_t
 asU64(double v)
 {
@@ -64,116 +77,114 @@ asBool(double v)
  * Kept sorted by key for knownOverrideKeys().
  */
 const Knob kKnobs[] = {
-    {"etc.capacity_compression",
+    {"etc.capacity_compression", Domain::Real,
      [](SimConfig &c, double v) { c.etc.capacity_compression = asBool(v); }},
-    {"etc.compression_latency",
+    {"etc.compression_latency", Domain::U64,
      [](SimConfig &c, double v) { c.etc.compression_latency = asU64(v); }},
-    {"etc.compression_ratio",
+    {"etc.compression_ratio", Domain::Real,
      [](SimConfig &c, double v) { c.etc.compression_ratio = v; }},
-    {"etc.enabled",
+    {"etc.enabled", Domain::Real,
      [](SimConfig &c, double v) { c.etc.enabled = asBool(v); }},
-    {"etc.epoch_cycles",
+    {"etc.epoch_cycles", Domain::U64,
      [](SimConfig &c, double v) { c.etc.epoch_cycles = asU64(v); }},
-    {"etc.memory_aware_throttling",
+    {"etc.memory_aware_throttling", Domain::Real,
      [](SimConfig &c, double v) {
          c.etc.memory_aware_throttling = asBool(v);
      }},
-    {"gpu.issue_width",
+    {"gpu.issue_width", Domain::Size,
      [](SimConfig &c, double v) { c.gpu.issue_width = asU32(v); }},
-    {"gpu.max_blocks_per_sm",
+    {"gpu.max_blocks_per_sm", Domain::Size,
      [](SimConfig &c, double v) { c.gpu.max_blocks_per_sm = asU32(v); }},
-    {"gpu.max_threads_per_sm",
+    {"gpu.max_threads_per_sm", Domain::Size,
      [](SimConfig &c, double v) { c.gpu.max_threads_per_sm = asU32(v); }},
-    {"gpu.mem_op_overhead_cycles",
+    {"gpu.mem_op_overhead_cycles", Domain::U64,
      [](SimConfig &c, double v) {
          c.gpu.mem_op_overhead_cycles = asU64(v);
      }},
-    {"gpu.num_sms",
+    {"gpu.num_sms", Domain::Size,
      [](SimConfig &c, double v) { c.gpu.num_sms = asU32(v); }},
-    {"mem.dram_bytes_per_cycle",
+    {"mem.dram_bytes_per_cycle", Domain::U32,
      [](SimConfig &c, double v) {
          c.mem.dram_bytes_per_cycle = asU32(v);
      }},
-    {"mem.dram_latency",
+    {"mem.dram_latency", Domain::U64,
      [](SimConfig &c, double v) { c.mem.dram_latency = asU64(v); }},
-    {"mem.mshrs_per_sm",
+    {"mem.mshrs_per_sm", Domain::Size,
      [](SimConfig &c, double v) { c.mem.mshrs_per_sm = asU32(v); }},
-    {"mem.walker_threads",
+    {"mem.walker_threads", Domain::Size,
      [](SimConfig &c, double v) { c.mem.walker_threads = asU32(v); }},
-    {"memory_ratio",
+    {"memory_ratio", Domain::Real,
      [](SimConfig &c, double v) { c.memory_ratio = v; }},
-    {"mt.policy",
+    {"mt.policy", Domain::U32,
      [](SimConfig &c, double v) {
-         if (v < 0.0 || v > 2.0)
-             fatal("mt.policy override must be 0 (free-for-all), "
-                   "1 (strict) or 2 (proportional)");
          c.mt.policy = static_cast<SharePolicy>(asU32(v));
-     }},
-    {"to.ctx_switch_bytes_per_cycle",
+     },
+     2}, // 0 free-for-all, 1 strict, 2 proportional
+    {"to.ctx_switch_bytes_per_cycle", Domain::U32,
      [](SimConfig &c, double v) {
          c.to.ctx_switch_bytes_per_cycle = asU32(v);
      }},
-    {"to.enabled",
+    {"to.enabled", Domain::Real,
      [](SimConfig &c, double v) { c.to.enabled = asBool(v); }},
-    {"to.ideal_ctx_switch",
+    {"to.ideal_ctx_switch", Domain::Real,
      [](SimConfig &c, double v) { c.to.ideal_ctx_switch = asBool(v); }},
-    {"to.initial_extra_blocks",
+    {"to.initial_extra_blocks", Domain::U32,
      [](SimConfig &c, double v) {
          c.to.initial_extra_blocks = asU32(v);
      }},
-    {"to.max_extra_blocks",
+    {"to.max_extra_blocks", Domain::U32,
      [](SimConfig &c, double v) { c.to.max_extra_blocks = asU32(v); }},
-    {"to.switch_on_memory_stall",
+    {"to.switch_on_memory_stall", Domain::Real,
      [](SimConfig &c, double v) {
          c.to.switch_on_memory_stall = asBool(v);
      }},
-    {"uvm.fault_buffer_entries",
+    {"uvm.fault_buffer_entries", Domain::Size,
      [](SimConfig &c, double v) {
          c.uvm.fault_buffer_entries = asU32(v);
      }},
-    {"uvm.fault_handling_per_page_us",
+    {"uvm.fault_handling_per_page_us", Domain::Real,
      [](SimConfig &c, double v) {
          c.uvm.fault_handling_per_page_us = v;
      }},
-    {"uvm.fault_handling_us",
+    {"uvm.fault_handling_us", Domain::Real,
      [](SimConfig &c, double v) { c.uvm.fault_handling_us = v; }},
-    {"uvm.ideal_eviction",
+    {"uvm.ideal_eviction", Domain::Real,
      [](SimConfig &c, double v) { c.uvm.ideal_eviction = asBool(v); }},
-    {"uvm.interrupt_latency_us",
+    {"uvm.interrupt_latency_us", Domain::Real,
      [](SimConfig &c, double v) { c.uvm.interrupt_latency_us = v; }},
-    {"uvm.lifetime_drop_threshold",
+    {"uvm.lifetime_drop_threshold", Domain::Real,
      [](SimConfig &c, double v) {
          c.uvm.lifetime_drop_threshold = v;
      }},
-    {"uvm.lifetime_window_cycles",
+    {"uvm.lifetime_window_cycles", Domain::U64,
      [](SimConfig &c, double v) {
          c.uvm.lifetime_window_cycles = asU64(v);
      }},
-    {"uvm.pcie_compression_ratio",
+    {"uvm.pcie_compression_ratio", Domain::Real,
      [](SimConfig &c, double v) { c.uvm.pcie_compression_ratio = v; }},
-    {"uvm.pcie_d2h_gbps",
+    {"uvm.pcie_d2h_gbps", Domain::Real,
      [](SimConfig &c, double v) { c.uvm.pcie_d2h_gbps = v; }},
-    {"uvm.pcie_gbps",
+    {"uvm.pcie_gbps", Domain::Real,
      [](SimConfig &c, double v) { c.uvm.pcie_gbps = v; }},
-    {"uvm.prefetch_density",
+    {"uvm.prefetch_density", Domain::Real,
      [](SimConfig &c, double v) { c.uvm.prefetch_density = v; }},
-    {"uvm.prefetch_enabled",
+    {"uvm.prefetch_enabled", Domain::Real,
      [](SimConfig &c, double v) {
          c.uvm.prefetch_enabled = asBool(v);
      }},
-    {"uvm.preload",
+    {"uvm.preload", Domain::Real,
      [](SimConfig &c, double v) { c.uvm.preload = asBool(v); }},
-    {"uvm.root_chunk_pages",
+    {"uvm.root_chunk_pages", Domain::Size,
      [](SimConfig &c, double v) { c.uvm.root_chunk_pages = asU32(v); }},
-    {"uvm.sequential_prefetch_pages",
+    {"uvm.sequential_prefetch_pages", Domain::U32,
      [](SimConfig &c, double v) {
          c.uvm.sequential_prefetch_pages = asU32(v);
      }},
-    {"uvm.unobtrusive_eviction",
+    {"uvm.unobtrusive_eviction", Domain::Real,
      [](SimConfig &c, double v) {
          c.uvm.unobtrusive_eviction = asBool(v);
      }},
-    {"uvm.va_block_bytes",
+    {"uvm.va_block_bytes", Domain::U64,
      [](SimConfig &c, double v) { c.uvm.va_block_bytes = asU64(v); }},
 };
 
@@ -241,19 +252,57 @@ appendTlb(std::string &out, const char *prefix, const TlbConfig &c)
              static_cast<std::uint64_t>(c.hit_latency));
 }
 
+bool
+failOverride(std::string *error, std::string what)
+{
+    if (error)
+        *error = std::move(what);
+    return false;
+}
+
+/** Why @p v is outside @p k's domain, or "" when it is inside. */
+std::string
+domainError(const Knob &k, double v)
+{
+    if (k.domain == Domain::Real)
+        return {};
+    char got[64];
+    std::snprintf(got, sizeof got, ", got %.17g", v);
+    if (std::isnan(v))
+        return "must be a number, got NaN";
+    if (v < 0.0)
+        return std::string("must not be negative") + got;
+    if (v != std::floor(v))
+        return std::string("must be an integer") + got;
+    if (k.domain == Domain::Size && v < 1.0)
+        return std::string("sizes a structure and must be at least 1") +
+               got;
+    if (k.max != 0 && v > k.max)
+        return "must be at most " + std::to_string(k.max) + got;
+    // 2^32 and 2^64 are exact doubles; anything at or above them would
+    // not fit the unsigned field.
+    if (k.domain == Domain::U64 ? v >= 0x1p64 : v >= 0x1p32)
+        return std::string("must be below 2^") +
+               (k.domain == Domain::U64 ? "64" : "32") + got;
+    return {};
+}
+
 } // namespace
 
 bool
 applyConfigOverride(SimConfig &config, const std::string &key,
-                    double value)
+                    double value, std::string *error)
 {
-    for (const Knob &k : kKnobs) {
-        if (key == k.key) {
-            k.set(config, value);
-            return true;
-        }
-    }
-    return false;
+    const Knob *knob = nullptr;
+    for (const Knob &k : kKnobs)
+        if (key == k.key)
+            knob = &k;
+    if (!knob)
+        return failOverride(error, "unknown override key '" + key + "'");
+    if (const std::string why = domainError(*knob, value); !why.empty())
+        return failOverride(error, "override '" + key + "' " + why);
+    knob->set(config, value);
+    return true;
 }
 
 std::vector<std::string>
@@ -273,9 +322,9 @@ cellConfig(const CellSpec &spec)
         spec.ratio, deriveWorkloadSeed(spec.base_seed, spec.workload));
     config = applyPolicy(config, spec.policy);
     for (const ConfigOverride &o : spec.overrides) {
-        if (!applyConfigOverride(config, o.key, o.value))
-            fatal("cellConfig: unknown config override '%s'",
-                  o.key.c_str());
+        std::string error;
+        if (!applyConfigOverride(config, o.key, o.value, &error))
+            fatal("cellConfig: %s", error.c_str());
     }
     config.check.enabled = spec.audit;
     return config;

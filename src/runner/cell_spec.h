@@ -52,11 +52,14 @@ struct ConfigOverride {
 };
 
 /**
- * Applies a registered override to @p config. @return false when the
- * key is unknown (the config is untouched).
+ * Applies a registered override to @p config. @return false, with the
+ * config untouched and the reason in @p error (when non-null), when
+ * the key is unknown or the value is outside the knob's domain: an
+ * integer knob given a negative, NaN, fractional or too large value,
+ * or a count that sizes a structure given 0.
  */
 bool applyConfigOverride(SimConfig &config, const std::string &key,
-                         double value);
+                         double value, std::string *error = nullptr);
 
 /** All registered override keys, sorted, for diagnostics/usage. */
 std::vector<std::string> knownOverrideKeys();

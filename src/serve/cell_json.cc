@@ -112,10 +112,9 @@ parseCellSpec(const JsonValue &v, CellSpec *out, std::string *error)
             ConfigOverride co;
             co.key = o.getString("key");
             co.value = o.getDouble("value");
-            if (!applyConfigOverride(probe, co.key, co.value))
-                return failParse(error,
-                                 "cell spec: unknown override key '" +
-                                     co.key + "'");
+            std::string why;
+            if (!applyConfigOverride(probe, co.key, co.value, &why))
+                return failParse(error, "cell spec: " + why);
             out->overrides.push_back(std::move(co));
         }
     }

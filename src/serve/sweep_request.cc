@@ -68,10 +68,9 @@ parseOverrides(const JsonValue &v, std::vector<ConfigOverride> *out,
         ConfigOverride co;
         co.key = o.getString("key");
         co.value = o.getDouble("value");
-        if (!applyConfigOverride(probe, co.key, co.value))
-            return failParse(error,
-                             "sweep request: unknown override key '" +
-                                 co.key + "'");
+        std::string why;
+        if (!applyConfigOverride(probe, co.key, co.value, &why))
+            return failParse(error, "sweep request: " + why);
         out->push_back(std::move(co));
     }
     return true;

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "src/mem/assoc_array.h"
 
 namespace bauvm
@@ -160,6 +165,223 @@ TEST(AssocArray, ProbeDoesNotDisturbLru)
     std::uint64_t evicted = 0;
     a.insert(4, &evicted);
     EXPECT_EQ(evicted, 0u); // 0 still LRU
+}
+
+// ---------------------------------------------------------------------
+// Differential check against the plain way-scan array
+// ---------------------------------------------------------------------
+
+/**
+ * Reference model: every operation scans the set's ways, and the victim
+ * is the first invalid way, else the way with the smallest last-use
+ * tick. AssocArray must match it op for op, including the raw line
+ * state lineAt() reports, whichever organization it picked.
+ */
+class ScanArray
+{
+  public:
+    ScanArray(std::uint32_t entries, std::uint32_t associativity)
+        : ways_(associativity == 0 ? entries : associativity),
+          sets_(entries / ways_), valid_(entries, 0), keys_(entries, 0),
+          last_use_(entries, 0)
+    {
+    }
+
+    bool
+    lookup(std::uint64_t key)
+    {
+        const std::size_t i = find(key);
+        if (i == kNone)
+            return false;
+        last_use_[i] = ++tick_;
+        return true;
+    }
+
+    bool probe(std::uint64_t key) const { return find(key) != kNone; }
+
+    bool
+    insert(std::uint64_t key, std::uint64_t *evicted_key)
+    {
+        const std::size_t hit = find(key);
+        if (hit != kNone) {
+            last_use_[hit] = ++tick_;
+            return false;
+        }
+        const std::size_t base = (key % sets_) * ways_;
+        std::size_t victim = kNone;
+        for (std::size_t i = base; i < base + ways_; ++i) {
+            if (!valid_[i]) {
+                victim = i;
+                break;
+            }
+            if (victim == kNone || last_use_[i] < last_use_[victim])
+                victim = i;
+        }
+        const bool displaced = valid_[victim] != 0;
+        if (displaced)
+            *evicted_key = keys_[victim];
+        valid_[victim] = 1;
+        keys_[victim] = key;
+        last_use_[victim] = ++tick_;
+        return displaced;
+    }
+
+    bool
+    invalidate(std::uint64_t key)
+    {
+        const std::size_t i = find(key);
+        if (i == kNone)
+            return false;
+        clear(i);
+        return true;
+    }
+
+    template <typename Pred>
+    std::size_t
+    invalidateIf(Pred pred)
+    {
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < keys_.size(); ++i) {
+            if (valid_[i] && pred(keys_[i])) {
+                clear(i);
+                ++n;
+            }
+        }
+        return n;
+    }
+
+    void
+    flush()
+    {
+        for (std::size_t i = 0; i < keys_.size(); ++i)
+            clear(i);
+    }
+
+    AssocArray::LineView
+    lineAt(std::size_t set, std::size_t way) const
+    {
+        const std::size_t i = set * ways_ + way;
+        return {valid_[i] != 0, keys_[i], last_use_[i]};
+    }
+
+  private:
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+    std::size_t
+    find(std::uint64_t key) const
+    {
+        const std::size_t base = (key % sets_) * ways_;
+        for (std::size_t i = base; i < base + ways_; ++i)
+            if (valid_[i] && keys_[i] == key)
+                return i;
+        return kNone;
+    }
+
+    void
+    clear(std::size_t i)
+    {
+        valid_[i] = 0;
+        keys_[i] = 0;
+        last_use_[i] = 0;
+    }
+
+    std::size_t ways_;
+    std::size_t sets_;
+    std::vector<std::uint8_t> valid_;
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> last_use_;
+    std::uint64_t tick_ = 0;
+};
+
+/** Runs @p ops seeded random operations on both arrays in lockstep. */
+void
+runDifferential(std::uint32_t entries, std::uint32_t associativity,
+                std::uint64_t seed, int ops)
+{
+    SCOPED_TRACE(testing::Message() << entries << " entries, "
+                                    << associativity << "-way, seed "
+                                    << seed);
+    AssocArray dut(entries, associativity);
+    ScanArray ref(entries, associativity);
+    std::mt19937_64 rng(seed);
+
+    // Key pool: dense small keys (so sets fill and collide, key 0
+    // included) plus sparse 64-bit keys like the walk cache's
+    // level-tagged ones. Twice the capacity keeps hits and misses both
+    // common.
+    std::vector<std::uint64_t> pool;
+    for (std::uint64_t k = 0; k < entries; ++k)
+        pool.push_back(k);
+    for (std::uint32_t k = 0; k < entries + 1; ++k)
+        pool.push_back(rng());
+    // A hot subset of the pool draws most operations, as a warp's
+    // pages do.
+    const std::size_t hot = std::max<std::size_t>(1, pool.size() / 8);
+    auto pick = [&] {
+        const std::size_t n = rng() % 4 ? hot : pool.size();
+        return pool[rng() % n];
+    };
+
+    for (int op = 0; op < ops; ++op) {
+        const std::uint64_t key = pick();
+        const unsigned kind = rng() % 100;
+        if (kind < 40) {
+            ASSERT_EQ(dut.lookup(key), ref.lookup(key)) << "op " << op;
+        } else if (kind < 75) {
+            std::uint64_t ev_dut = 0xdead, ev_ref = 0xdead;
+            ASSERT_EQ(dut.insert(key, &ev_dut), ref.insert(key, &ev_ref))
+                << "op " << op;
+            ASSERT_EQ(ev_dut, ev_ref) << "op " << op;
+        } else if (kind < 85) {
+            ASSERT_EQ(dut.probe(key), ref.probe(key)) << "op " << op;
+        } else if (kind < 98) {
+            ASSERT_EQ(dut.invalidate(key), ref.invalidate(key))
+                << "op " << op;
+        } else if (kind < 99) {
+            const std::uint64_t m = 2 + rng() % 5, r = rng() % m;
+            auto pred = [m, r](std::uint64_t k) { return k % m == r; };
+            ASSERT_EQ(dut.invalidateIf(pred), ref.invalidateIf(pred))
+                << "op " << op;
+        } else if (rng() % 8 == 0) {
+            dut.flush();
+            ref.flush();
+        }
+        for (std::size_t s = 0; s < dut.numSets(); ++s) {
+            for (std::size_t w = 0; w < dut.numWays(); ++w) {
+                const auto a = dut.lineAt(s, w), b = ref.lineAt(s, w);
+                if (a.valid != b.valid || a.key != b.key ||
+                    a.last_use != b.last_use)
+                    FAIL() << "op " << op << ": line (" << s << ", " << w
+                           << ") is {" << a.valid << ", " << a.key << ", "
+                           << a.last_use << "}, scan has {" << b.valid
+                           << ", " << b.key << ", " << b.last_use << "}";
+            }
+        }
+    }
+}
+
+TEST(AssocArrayDifferential, FullyAssociative64Way)
+{
+    runDifferential(64, 0, 1, 200000);
+    runDifferential(64, 0, 7, 200000);
+}
+
+TEST(AssocArrayDifferential, FullyAssociativeSpanningFreeMaskWords)
+{
+    runDifferential(100, 0, 3, 50000);
+}
+
+TEST(AssocArrayDifferential, SingleEntry)
+{
+    runDifferential(1, 0, 5, 20000);
+    runDifferential(1, 1, 6, 20000);
+}
+
+TEST(AssocArrayDifferential, SetAssociative)
+{
+    runDifferential(32 * 32, 32, 11, 20000); // the L2 TLB's shape
+    runDifferential(64, 4, 12, 50000);       // 16 sets x 4 ways
+    runDifferential(24, 4, 13, 50000);       // 6 sets: modulo indexing
 }
 
 } // namespace

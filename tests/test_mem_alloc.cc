@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "src/mem/memory_hierarchy.h"
+#include "src/mem/slot_queue.h"
 #include "src/sim/event_queue.h"
 #include "src/uvm/gpu_memory_manager.h"
 #include "src/uvm/uvm_runtime.h"
@@ -174,6 +175,32 @@ struct LoopStack {
             loop.run(faults);
     }
 };
+
+TEST(MemAlloc, ReservedSlotQueueNeverAllocates)
+{
+    // The MSHR/walker usage pattern at full occupancy, long enough to
+    // slide the live window across the reserved storage many times.
+    constexpr std::size_t kSlots = 64;
+    SlotQueue q;
+    q.reserve(kSlots);
+    Cycle now = 0;
+    g_allocs.store(0);
+    g_counting.store(true);
+    for (int i = 0; i < 100000; ++i) {
+        now += i % 3;
+        while (!q.empty() && q.top() <= now)
+            q.pop();
+        Cycle begin = now;
+        if (q.size() >= kSlots) {
+            begin = q.top();
+            q.pop();
+        }
+        q.push(begin + 100 + i % 7);
+    }
+    g_counting.store(false);
+    EXPECT_EQ(q.size(), kSlots) << "the pool must run full";
+    EXPECT_EQ(g_allocs.load(), 0u);
+}
 
 TEST(MemAlloc, SteadyStateFaultPathIsAllocationFree)
 {

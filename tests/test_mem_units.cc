@@ -6,12 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <random>
+#include <vector>
+
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
+#include "src/mem/memory_hierarchy.h"
 #include "src/mem/page_table.h"
 #include "src/mem/page_table_walker.h"
 #include "src/mem/page_walk_cache.h"
+#include "src/mem/slot_queue.h"
 #include "src/mem/tlb.h"
+#include "src/sim/log.h"
 
 namespace bauvm
 {
@@ -166,6 +174,91 @@ TEST(PageTableWalker, ThreadLimitQueues)
     EXPECT_GE(d3, d1);
     EXPECT_GT(w.queueingCycles(), 0u);
     (void)d2;
+}
+
+TEST(PageTableWalker, ZeroThreadsIsAFatalConfigError)
+{
+    MemConfig config;
+    config.walker_threads = 0;
+    ScopedAbortCapture capture;
+    EXPECT_THROW(PageTableWalker w(config), SimAbort);
+}
+
+TEST(MemoryHierarchyConfig, ZeroSlotPoolsAreFatalConfigErrors)
+{
+    PageTable pt;
+    ScopedAbortCapture capture;
+    MemConfig no_mshrs;
+    no_mshrs.mshrs_per_sm = 0;
+    EXPECT_THROW((MemoryHierarchyT<ObserverMode::None>(no_mshrs, 2,
+                                                       64 * 1024, pt)),
+                 SimAbort);
+    MemConfig no_walkers;
+    no_walkers.walker_threads = 0;
+    EXPECT_THROW((MemoryHierarchyT<ObserverMode::None>(no_walkers, 2,
+                                                       64 * 1024, pt)),
+                 SimAbort);
+}
+
+TEST(SlotQueue, MatchesPriorityQueueOnSlotPoolTraffic)
+{
+    // The MSHR/walker pattern: drain everything due by `now`, take the
+    // earliest slot when the pool is full, then occupy one until a
+    // later cycle. Narrow time ranges force duplicate and equal-time
+    // entries.
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        std::mt19937_64 rng(seed);
+        const std::size_t cap = 1 + seed * 7;
+        SlotQueue q;
+        q.reserve(cap);
+        std::priority_queue<Cycle, std::vector<Cycle>, std::greater<>>
+            ref;
+        Cycle now = 0;
+        for (int op = 0; op < 100000; ++op) {
+            now += rng() % 4;
+            while (!ref.empty() && ref.top() <= now) {
+                ASSERT_FALSE(q.empty());
+                ASSERT_EQ(q.top(), ref.top());
+                q.pop();
+                ref.pop();
+            }
+            ASSERT_EQ(q.size(), ref.size());
+            Cycle begin = now;
+            if (ref.size() >= cap) {
+                ASSERT_EQ(q.top(), ref.top());
+                begin = ref.top();
+                q.pop();
+                ref.pop();
+            }
+            const Cycle done = begin + rng() % 16;
+            q.push(done);
+            ref.push(done);
+            ASSERT_EQ(q.top(), ref.top()) << "op " << op;
+        }
+    }
+}
+
+TEST(SlotQueue, ArbitraryPushPopOrderKeepsTheMultiset)
+{
+    std::mt19937_64 rng(9);
+    SlotQueue q;
+    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<>> ref;
+    for (int op = 0; op < 50000; ++op) {
+        if (!ref.empty() && rng() % 3 == 0) {
+            ASSERT_EQ(q.top(), ref.top());
+            q.pop();
+            ref.pop();
+        } else {
+            const Cycle t = rng() % 32; // out of order, many repeats
+            q.push(t);
+            ref.push(t);
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        ASSERT_EQ(q.empty(), ref.empty());
+        if (!ref.empty()) {
+            ASSERT_EQ(q.top(), ref.top());
+        }
+    }
 }
 
 TEST(Dram, LatencyPlusBandwidth)

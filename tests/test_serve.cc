@@ -580,6 +580,62 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
         &req, &error));
 }
 
+TEST(SweepRequestParse, RejectsOutOfDomainOverrideValues)
+{
+    // Each of these once passed the parser; a zero count then crashed
+    // the cell on an empty slot queue, and the rest were undefined
+    // double -> unsigned casts.
+    const struct {
+        const char *key;
+        const char *value;
+        const char *why;
+    } bad[] = {
+        {"mem.walker_threads", "0", "at least 1"},
+        {"mem.mshrs_per_sm", "0", "at least 1"},
+        {"gpu.num_sms", "0", "at least 1"},
+        {"uvm.fault_buffer_entries", "0", "at least 1"},
+        {"mem.walker_threads", "-4", "negative"},
+        {"mem.dram_latency", "-1", "negative"},
+        {"mem.mshrs_per_sm", "2.5", "integer"},
+        {"uvm.sequential_prefetch_pages", "0.25", "integer"},
+        {"gpu.issue_width", "1e10", "below 2^32"},
+        {"uvm.va_block_bytes", "1e30", "below 2^64"},
+        {"mt.policy", "3", "at most 2"},
+    };
+    for (const auto &b : bad) {
+        const std::string body =
+            std::string("\"variants\": [{\"label\": \"v\", "
+                        "\"overrides\": [{\"key\": \"") +
+            b.key + "\", \"value\": " + b.value + "}]}]";
+        SweepRequest req;
+        std::string error;
+        EXPECT_FALSE(
+            parseSweepRequest(parseOrDie(requestJson(body)), &req, &error))
+            << b.key << " = " << b.value;
+        EXPECT_NE(error.find(b.key), std::string::npos) << error;
+        EXPECT_NE(error.find(b.why), std::string::npos) << error;
+    }
+
+    // JSON has no NaN, but the C++ entry point must refuse it too.
+    SimConfig config;
+    const SimConfig before = config;
+    std::string error;
+    EXPECT_FALSE(applyConfigOverride(config, "mem.walker_threads",
+                                     std::nan(""), &error));
+    EXPECT_NE(error.find("NaN"), std::string::npos) << error;
+    EXPECT_EQ(config.mem.walker_threads, before.mem.walker_threads);
+    EXPECT_FALSE(applyConfigOverride(config, "no.such_knob", 1, &error));
+    EXPECT_NE(error.find("unknown override key"), std::string::npos);
+
+    // Zero stays legal where it means "off" rather than a size.
+    EXPECT_TRUE(applyConfigOverride(config, "uvm.sequential_prefetch_pages",
+                                    0, &error));
+    EXPECT_TRUE(applyConfigOverride(config, "mem.walker_threads", 1,
+                                    &error));
+    EXPECT_EQ(config.mem.walker_threads, 1u);
+    EXPECT_TRUE(applyConfigOverride(config, "memory_ratio", -1, &error));
+}
+
 // ---------------------------------------------------------------------
 // The daemon
 // ---------------------------------------------------------------------
