@@ -81,8 +81,7 @@ memTranslate(benchmark::State &state)
 // ------------------------------------------------------- MemFaultPath
 
 void
-drainBatch(FaultBufferT<ObserverMode::None> &fb,
-           std::vector<FaultRecord> &out)
+drainBatch(FaultBuffer &fb, std::vector<FaultRecord> &out)
 {
     fb.drainInto(out);
 }
@@ -244,8 +243,7 @@ BM_MemShootdown(benchmark::State &state)
     PageTable pt;
     for (PageNum p = 0; p < kPages; ++p)
         pt.map(p, p);
-    MemoryHierarchyT<ObserverMode::None> mem(config, kSms, kPageBytes,
-                                             pt);
+    MemoryHierarchy mem(config, kSms, kPageBytes, pt);
     Cycle now = 0;
     for (auto _ : state) {
         state.PauseTiming();
@@ -276,8 +274,7 @@ BM_MemTranslateTlbMiss(benchmark::State &state)
     PageTable pt;
     for (PageNum p = 0; p < kPages; ++p)
         pt.map(p, p);
-    MemoryHierarchyT<ObserverMode::None> mem(config, kSms, kPageBytes,
-                                             pt);
+    MemoryHierarchy mem(config, kSms, kPageBytes, pt);
     std::uint64_t x = 88172645463325252ull;
     Cycle now = 0;
     for (auto _ : state) {
@@ -318,7 +315,7 @@ BM_MemFaultPath(benchmark::State &state)
 {
     UvmConfig config;
     GpuMemoryManager mgr(config, 512);
-    FaultBufferT<ObserverMode::None> fb(256, mgr.pageTable().meta());
+    FaultBuffer fb(256, mgr.pageTable().meta());
     memFaultPath(state, mgr, fb);
 }
 BENCHMARK(BM_MemFaultPath);

@@ -1,21 +1,20 @@
 /**
  * @file
- * Experiment harness shared by the bench binaries: runs (workload x
- * policy) matrices, computes normalized speedups and geometric means,
- * and parses the common bench command line (--scale / --csv / --ratio
- * / --seed / --jobs / --json / --timeout).
+ * Experiment harness shared by the bench binaries: runs one (workload,
+ * policy) cell, computes normalized speedups and geometric means, and
+ * parses the common bench command line (--scale / --csv / --ratio /
+ * --seed / --jobs / --json / --timeout).
  *
- * runMatrix() delegates to the parallel SweepRunner (src/runner): the
- * matrix executes on opt.jobs worker threads with per-cell seeds
- * derived deterministically from (seed, workload), so the results are
- * bit-identical for any --jobs value.
+ * Whole matrices run through the parallel SweepRunner (src/runner),
+ * which reports each cell's success or failure explicitly; runCell()
+ * derives the same per-cell seed, so it reproduces any sweep cell
+ * bit-for-bit.
  */
 
 #ifndef BAUVM_CORE_EXPERIMENT_H_
 #define BAUVM_CORE_EXPERIMENT_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -98,22 +97,6 @@ std::string scaleName(WorkloadScale scale);
 /** Runs one (workload, policy) cell of the evaluation matrix. */
 RunResult runCell(const std::string &workload, Policy policy,
                   const BenchOptions &opt);
-
-/**
- * Runs @p policies for every workload in @p workloads on opt.jobs
- * worker threads (see file doc for the determinism guarantee).
- *
- * A failed cell (fatal/panic/exception inside the simulation) is
- * warn()ed and left default-constructed in the returned map instead of
- * aborting the process; callers needing per-cell error detail should
- * drive SweepRunner directly.
- *
- * @return results[workload][policy].
- */
-std::map<std::string, std::map<Policy, RunResult>> runMatrix(
-    const std::vector<std::string> &workloads,
-    const std::vector<Policy> &policies, const BenchOptions &opt,
-    bool verbose = true);
 
 /**
  * Geometric mean of @p values. Returns 0.0 (with a warn) on an empty

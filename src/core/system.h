@@ -4,6 +4,12 @@
  * memory system, UVM runtime, GPU and (optionally) the ETC framework
  * together, runs a workload through its kernel sequence, and reports a
  * RunResult with every statistic the paper's figures need.
+ *
+ * The system owns every component directly and builds the optional
+ * observers (trace sink, model auditor) first, so one SimHooks value
+ * reaches each component at construction. A run with neither observer
+ * executes the same code as an observed one; each observer site is a
+ * null check (src/check/sim_hooks.h).
  */
 
 #ifndef BAUVM_CORE_SYSTEM_H_
@@ -15,7 +21,6 @@
 
 #include "src/check/model_auditor.h"
 #include "src/check/sim_hooks.h"
-#include "src/core/engine.h"
 #include "src/core/tenant.h"
 #include "src/etc/etc_framework.h"
 #include "src/gpu/gpu.h"
@@ -128,16 +133,12 @@ class GpuUvmSystem
         return tenant_workloads_;
     }
 
-    // Component access for tests and custom experiments. Hierarchy and
-    // runtime come back as base references: the system instantiated
-    // the observer-specialized variants behind the engine seam, and
-    // everything a caller reads or tweaks after construction lives on
-    // the mode-independent bases.
+    // Component access for tests and custom experiments.
     EventQueue &events() { return events_; }
     GpuMemoryManager &memoryManager() { return manager_; }
-    MemoryHierarchyBase &hierarchy() { return engine_->hierarchy(); }
-    UvmRuntimeBase &runtime() { return engine_->runtime(); }
-    Gpu &gpu() { return engine_->gpu(); }
+    MemoryHierarchy &hierarchy() { return hierarchy_; }
+    UvmRuntime &runtime() { return runtime_; }
+    Gpu &gpu() { return gpu_; }
     const SimConfig &config() const { return config_; }
 
     /** The run's trace sink, or nullptr when config.trace.enabled is
@@ -152,21 +153,23 @@ class GpuUvmSystem
     SimConfig config_;
     EventQueue events_;
     // Observers are built first so hooks_ can be handed to every
-    // component at construction (components keep it by value). The
-    // engine then instantiates the hierarchy/runtime/GPU bundle in
-    // ObserverMode::None when neither observer exists and Observed
-    // otherwise — the one place an ObserverMode is chosen at runtime.
+    // component at construction (components keep it by value).
     std::unique_ptr<TraceSink> trace_;
     std::unique_ptr<ModelAuditor> audit_;
     SimHooks hooks_;
     GpuMemoryManager manager_;
-    std::unique_ptr<EngineBase> engine_;
+    MemoryHierarchy hierarchy_;
+    UvmRuntime runtime_;
+    Gpu gpu_;
     std::unique_ptr<EtcFramework> etc_;
 
-    // Multi-tenant state (populated by run(specs) only). Tenant GPUs
-    // and hierarchies live inside the engine (they must share its
-    // observer mode); the directory maps every page to its owner.
+    // Multi-tenant state (populated by run(specs) only). Each tenant
+    // gets its own cache/TLB hierarchy and GPU front end on the shared
+    // event queue, memory manager and runtime; the directory maps
+    // every page to its owner.
     std::unique_ptr<TenantDirectory> tenant_dir_;
+    std::vector<std::unique_ptr<MemoryHierarchy>> tenant_hierarchies_;
+    std::vector<std::unique_ptr<Gpu>> tenant_gpus_;
     std::vector<std::unique_ptr<Workload>> tenant_workloads_;
 };
 

@@ -45,7 +45,7 @@ class VirtualThreadController
     /** @param hooks observers: oversubscription-degree changes emit
      *  counter samples stamped with the hook clock's current cycle. */
     VirtualThreadController(const ToConfig &config,
-                            std::vector<std::unique_ptr<SmBase>> &sms,
+                            std::vector<std::unique_ptr<Sm>> &sms,
                             const SimHooks &hooks = {});
 
     /** Installs the kernel whose context size prices the switches. */
@@ -85,11 +85,11 @@ class VirtualThreadController
 
   private:
     /** Picks a runnable inactive block on @p sm, or -1. */
-    int pickCandidate(const SmBase &sm) const;
-    void doSwitch(SmBase &sm, std::uint32_t out_slot, std::uint32_t in_slot);
+    int pickCandidate(const Sm &sm) const;
+    void doSwitch(Sm &sm, std::uint32_t out_slot, std::uint32_t in_slot);
 
     ToConfig config_;
-    std::vector<std::unique_ptr<SmBase>> &sms_;
+    std::vector<std::unique_ptr<Sm>> &sms_;
     SimHooks hooks_;
     const KernelInfo *kernel_ = nullptr;
     std::function<void()> top_up_;

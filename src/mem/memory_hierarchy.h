@@ -7,11 +7,11 @@
  * transaction. It returns either a completion cycle or a page-fault
  * indication (the UVM runtime owns fault handling).
  *
- * Split along the hot/cold line for observer specialization (see
- * src/check/observer_mode.h): MemoryHierarchyBase owns all state plus
- * the cold entry points (shootdowns, queries); MemoryHierarchyT<M>
- * adds the hot access/translate pair with the observer branches
- * compiled for mode M.
+ * The hot access/translate pair is defined in this header so the SM's
+ * issue loop inlines the whole per-access stack. Its auditor sites are
+ * plain `if (hooks_.audit)` checks, like every other observer site
+ * (src/check/sim_hooks.h); without an auditor each costs one
+ * well-predicted branch.
  */
 
 #ifndef BAUVM_MEM_MEMORY_HIERARCHY_H_
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/check/model_auditor.h"
-#include "src/check/observer_mode.h"
 #include "src/check/sim_hooks.h"
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
@@ -44,14 +43,9 @@ struct MemResult {
                         //!< the cycle at which the fault was detected
 };
 
-/**
- * State and cold paths of the GPU memory system (mode-independent).
- *
- * Consumers that never touch the hot path (the UVM runtime's eviction
- * shootdowns, the ETC framework, statistics readers) hold a reference
- * of this type so one compiled function serves every specialization.
- */
-class MemoryHierarchyBase
+/** Timing and (presence-only) functional model of the GPU memory
+ *  system. */
+class MemoryHierarchy
 {
   public:
     /**
@@ -66,10 +60,20 @@ class MemoryHierarchyBase
      *
      * fatal() when the config sizes the MSHRs or walk threads at 0.
      */
-    MemoryHierarchyBase(const MemConfig &config, std::uint32_t num_sms,
-                        std::uint64_t page_bytes,
-                        const PageTable &page_table,
-                        const SimHooks &hooks = {});
+    MemoryHierarchy(const MemConfig &config, std::uint32_t num_sms,
+                    std::uint64_t page_bytes,
+                    const PageTable &page_table,
+                    const SimHooks &hooks = {});
+
+    /**
+     * Performs one line-granular transaction for SM @p sm.
+     *
+     * Translation walks L1 TLB -> L2 TLB -> page-table walker; if the
+     * page is not resident the result is a fault stamped at walk
+     * completion. Otherwise the data access proceeds L1 -> L2 -> DRAM.
+     */
+    MemResult access(std::uint32_t sm, VAddr vaddr, bool write,
+                     Cycle start);
 
     /**
      * Invalidate all TLB entries for @p vpn (eviction shootdown).
@@ -108,10 +112,10 @@ class MemoryHierarchyBase
     /** Cycles a transaction waited because the SM's MSHRs were full. */
     std::uint64_t mshrStallCycles() const { return mshr_stall_cycles_; }
 
-  protected:
-    // No virtuals: the hot path binds statically in MemoryHierarchyT<M>
-    // and nothing deletes through the base.
-    ~MemoryHierarchyBase() = default;
+  private:
+    /** Translates @p vpn. Returns {fault?, cycle translation resolved}. */
+    std::pair<bool, Cycle> translate(std::uint32_t sm, PageNum vpn,
+                                     Cycle start);
 
     /** Line key folding the page version in for lazy invalidation. */
     std::uint64_t
@@ -161,57 +165,22 @@ class MemoryHierarchyBase
     std::uint64_t mshr_stall_cycles_ = 0;
 };
 
-/**
- * Timing and (presence-only) functional model of the GPU memory system,
- * with the hot path's observer branches compiled for mode @p M.
- */
-template <ObserverMode M>
-class MemoryHierarchyT final : public MemoryHierarchyBase
-{
-  public:
-    using MemoryHierarchyBase::MemoryHierarchyBase;
-
-    /**
-     * Performs one line-granular transaction for SM @p sm.
-     *
-     * Translation walks L1 TLB -> L2 TLB -> page-table walker; if the
-     * page is not resident the result is a fault stamped at walk
-     * completion. Otherwise the data access proceeds L1 -> L2 -> DRAM.
-     *
-     * Defined in the header (with translate) so the SM's issue loop
-     * inlines the whole per-access stack; the explicit instantiations
-     * in memory_hierarchy.cc still provide out-of-line symbols.
-     */
-    MemResult access(std::uint32_t sm, VAddr vaddr, bool write,
-                     Cycle start);
-
-  private:
-    /** Translates @p vpn. Returns {fault?, cycle translation resolved}. */
-    std::pair<bool, Cycle> translate(std::uint32_t sm, PageNum vpn,
-                                     Cycle start);
-};
-
-template <ObserverMode M>
 inline std::pair<bool, Cycle>
-MemoryHierarchyT<M>::translate(std::uint32_t sm, PageNum vpn, Cycle start)
+MemoryHierarchy::translate(std::uint32_t sm, PageNum vpn, Cycle start)
 {
     Tlb &l1 = *l1_tlbs_[sm];
     Cycle t = start + l1.hitLatency();
     if (l1.lookup(vpn)) {
-        if constexpr (observed(M)) {
-            if (hooks_.audit)
-                hooks_.audit->onTranslationHit(vpn);
-        }
+        if (hooks_.audit)
+            hooks_.audit->onTranslationHit(vpn);
         return {false, t};
     }
 
     t += l2_tlb_->hitLatency();
     if (l2_tlb_->lookup(vpn)) {
-        if constexpr (observed(M)) {
-            if (hooks_.audit) {
-                hooks_.audit->onTranslationHit(vpn);
-                hooks_.audit->onTranslationInsert(vpn);
-            }
+        if (hooks_.audit) {
+            hooks_.audit->onTranslationHit(vpn);
+            hooks_.audit->onTranslationInsert(vpn);
         }
         l1.insert(vpn);
         return {false, t};
@@ -220,27 +189,22 @@ MemoryHierarchyT<M>::translate(std::uint32_t sm, PageNum vpn, Cycle start)
     ++walks_;
     const Cycle walk_done = walker_.walk(vpn, t);
     const bool fault = !page_table_.isResident(vpn);
-    if constexpr (observed(M)) {
-        if (hooks_.audit)
-            hooks_.audit->onWalkResolved(vpn, walk_done, fault);
-    }
+    if (hooks_.audit)
+        hooks_.audit->onWalkResolved(vpn, walk_done, fault);
     if (fault)
         return {true, walk_done};
-    if constexpr (observed(M)) {
-        if (hooks_.audit) {
-            hooks_.audit->onTranslationInsert(vpn); // L2 TLB fill
-            hooks_.audit->onTranslationInsert(vpn); // L1 TLB fill
-        }
+    if (hooks_.audit) {
+        hooks_.audit->onTranslationInsert(vpn); // L2 TLB fill
+        hooks_.audit->onTranslationInsert(vpn); // L1 TLB fill
     }
     l2_tlb_->insert(vpn);
     l1.insert(vpn);
     return {false, walk_done};
 }
 
-template <ObserverMode M>
 inline MemResult
-MemoryHierarchyT<M>::access(std::uint32_t sm, VAddr vaddr, bool write,
-                            Cycle start)
+MemoryHierarchy::access(std::uint32_t sm, VAddr vaddr, bool write,
+                        Cycle start)
 {
     if (sm >= l1_tlbs_.size())
         panic("MemoryHierarchy: SM index %u out of range", sm);
@@ -278,8 +242,12 @@ MemoryHierarchyT<M>::access(std::uint32_t sm, VAddr vaddr, bool write,
     return MemResult{false, 0, t};
 }
 
-extern template class MemoryHierarchyT<ObserverMode::None>;
-extern template class MemoryHierarchyT<ObserverMode::Observed>;
+/**
+ * Former name of MemoryHierarchy. The repository benchmark program
+ * (perfbench/) still spells it and changes only together with the
+ * benchmark; drop this alias in the next change to the benchmark.
+ */
+using MemoryHierarchyBase = MemoryHierarchy;
 
 } // namespace bauvm
 

@@ -500,7 +500,7 @@ TEST(HierarchyAudit, EvictionShootdownKeepsCoherence)
     const std::uint64_t page_bytes = 64 * 1024;
     PageTable pt;
     ModelAuditor a(UvmConfig{});
-    MemoryHierarchyT<ObserverMode::Observed> mh(
+    MemoryHierarchy mh(
         MemConfig{}, 1, page_bytes, pt, SimHooks{nullptr, &a, nullptr});
 
     shadowResident(a, 3);
@@ -527,7 +527,7 @@ TEST(HierarchyAudit, MissedShootdownAfterEvictionPanics)
     const std::uint64_t page_bytes = 64 * 1024;
     PageTable pt;
     ModelAuditor a(UvmConfig{});
-    MemoryHierarchyT<ObserverMode::Observed> mh(
+    MemoryHierarchy mh(
         MemConfig{}, 1, page_bytes, pt, SimHooks{nullptr, &a, nullptr});
 
     shadowResident(a, 3);
@@ -552,7 +552,7 @@ TEST(HierarchyAudit, StaleWalkDuringEvictionPanics)
     const std::uint64_t page_bytes = 64 * 1024;
     PageTable pt;
     ModelAuditor a(UvmConfig{});
-    MemoryHierarchyT<ObserverMode::Observed> mh(
+    MemoryHierarchy mh(
         MemConfig{}, 1, page_bytes, pt, SimHooks{nullptr, &a, nullptr});
 
     shadowResident(a, 3); // shadow resident, page table never mapped
@@ -607,6 +607,32 @@ TEST(BenchArgsAudit, UnknownFlagPrintsUsageAndFails)
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("options:"), std::string::npos);
     EXPECT_NE(err.find("--audit"), std::string::npos);
+}
+
+TEST(BenchArgsAudit, NonDigitIntegerValuesFail)
+{
+    // "-2" would wrap to 2^64-2 under std::stoull (one thread per cell
+    // for --jobs) and "3x" would parse as 3; both must be rejected.
+    for (const char *flag : {"--seed", "--jobs", "--cell-threads"}) {
+        for (const char *value : {"-2", "3x"}) {
+            SCOPED_TRACE(std::string(flag) + " " + value);
+            const char *argv[] = {"prog", flag, value};
+            testing::internal::CaptureStderr();
+            {
+                ScopedAbortCapture capture;
+                try {
+                    parseBenchArgs(3, const_cast<char **>(argv));
+                    ADD_FAILURE() << "non-digit value must not parse";
+                } catch (const SimAbort &e) {
+                    EXPECT_FALSE(e.isPanic()); // fatal(): exits non-zero
+                    EXPECT_NE(std::string(e.what()).find(value),
+                              std::string::npos)
+                        << e.what();
+                }
+            }
+            testing::internal::GetCapturedStderr();
+        }
+    }
 }
 
 // ---- workload registry ---------------------------------------------

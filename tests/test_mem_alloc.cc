@@ -134,14 +134,13 @@ class FaultLoop
  * measured round (its once-per-batch push_back is the only amortized
  * growth left on the path).
  */
-template <ObserverMode M>
 struct LoopStack {
     UvmConfig config;
     EventQueue events;
     GpuMemoryManager manager;
-    MemoryHierarchyT<M> hierarchy;
-    UvmRuntimeT<M> runtime;
-    FaultLoop<UvmRuntimeT<M>> loop;
+    MemoryHierarchy hierarchy;
+    UvmRuntime runtime;
+    FaultLoop<UvmRuntime> loop;
 
     LoopStack()
         : config(makeConfig()), manager(config, /*capacity_pages=*/8),
@@ -205,11 +204,11 @@ TEST(MemAlloc, ReservedSlotQueueNeverAllocates)
 TEST(MemAlloc, SteadyStateFaultPathIsAllocationFree)
 {
     constexpr std::uint64_t kFaults = 512;
-    LoopStack<ObserverMode::None> stack;
+    LoopStack stack;
     stack.warmUp(kFaults);
 
     const std::uint64_t fallbacks_before =
-        UvmRuntimeBase::WakeFn::heapFallbacks();
+        UvmRuntime::WakeFn::heapFallbacks();
     g_allocs.store(0);
     g_counting.store(true);
     const std::uint64_t woken = stack.loop.run(kFaults);
@@ -222,13 +221,13 @@ TEST(MemAlloc, SteadyStateFaultPathIsAllocationFree)
         << "loop must exercise the prefetcher";
     EXPECT_EQ(g_allocs.load(), 0u)
         << "steady-state fault/migrate/evict/wake must not allocate";
-    EXPECT_EQ(UvmRuntimeBase::WakeFn::heapFallbacks(), fallbacks_before)
+    EXPECT_EQ(UvmRuntime::WakeFn::heapFallbacks(), fallbacks_before)
         << "waiter captures within the inline budget must stay inline";
 }
 
 /**
- * The {None} path — the one a hookless sweep cell instantiates — must
- * stay allocation-free in steady state even when two intra-cell worker
+ * The no-observer path — the one every untraced, unaudited sweep cell
+ * runs — must stay allocation-free in steady state even when two intra-cell worker
  * threads drive independent stacks concurrently (the --cell-threads
  * shape). The global operator-new hook counts allocations
  * process-wide, so a single stray allocation on either worker fails
@@ -237,12 +236,12 @@ TEST(MemAlloc, SteadyStateFaultPathIsAllocationFree)
 TEST(MemAlloc, SpecializedNonePathIsAllocationFreeOnTwoThreads)
 {
     constexpr std::uint64_t kFaults = 512;
-    LoopStack<ObserverMode::None> stacks[2];
+    LoopStack stacks[2];
     stacks[0].warmUp(kFaults);
     stacks[1].warmUp(kFaults);
 
     const std::uint64_t fallbacks_before =
-        UvmRuntimeBase::WakeFn::heapFallbacks();
+        UvmRuntime::WakeFn::heapFallbacks();
     std::atomic<int> ready{0};
     std::atomic<bool> go{false};
     std::atomic<std::uint64_t> woken[2] = {{0}, {0}};
@@ -271,9 +270,9 @@ TEST(MemAlloc, SpecializedNonePathIsAllocationFreeOnTwoThreads)
             << "worker " << u << " must run under pressure";
     }
     EXPECT_EQ(g_allocs.load(), 0u)
-        << "specialized {None} steady state must not allocate on "
-           "either worker";
-    EXPECT_EQ(UvmRuntimeBase::WakeFn::heapFallbacks(), fallbacks_before);
+        << "no-observer steady state must not allocate on either "
+           "worker";
+    EXPECT_EQ(UvmRuntime::WakeFn::heapFallbacks(), fallbacks_before);
 }
 
 } // namespace

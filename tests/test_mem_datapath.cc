@@ -116,10 +116,9 @@ TEST(UvmRuntimeWaiters, WakeInFifoRegistrationOrder)
     UvmConfig config;
     EventQueue events;
     GpuMemoryManager manager(config, 8);
-    MemoryHierarchyT<ObserverMode::None> hierarchy(
+    MemoryHierarchy hierarchy(
         MemConfig{}, 1, config.page_bytes, manager.pageTable());
-    UvmRuntimeT<ObserverMode::None> runtime(config, events, manager,
-                                            hierarchy);
+    UvmRuntime runtime(config, events, manager, hierarchy);
     runtime.registerAllocation(0, 16 * config.page_bytes);
 
     std::vector<int> order;
@@ -286,7 +285,7 @@ TEST(TraceReplayDifferential, EvictionOrderMatchesLegacyReplay)
 TEST(FaultBufferDifferential, RandomTrafficMatchesLegacy)
 {
     PageMetaTable meta;
-    FaultBufferT<ObserverMode::None> fb(64, meta);
+    FaultBuffer fb(64, meta);
     LegacyFaultBuffer legacy(64);
     Rng rng(7);
     Cycle now = 0;

@@ -190,13 +190,11 @@ TEST(MemoryHierarchyConfig, ZeroSlotPoolsAreFatalConfigErrors)
     ScopedAbortCapture capture;
     MemConfig no_mshrs;
     no_mshrs.mshrs_per_sm = 0;
-    EXPECT_THROW((MemoryHierarchyT<ObserverMode::None>(no_mshrs, 2,
-                                                       64 * 1024, pt)),
+    EXPECT_THROW((MemoryHierarchy(no_mshrs, 2, 64 * 1024, pt)),
                  SimAbort);
     MemConfig no_walkers;
     no_walkers.walker_threads = 0;
-    EXPECT_THROW((MemoryHierarchyT<ObserverMode::None>(no_walkers, 2,
-                                                       64 * 1024, pt)),
+    EXPECT_THROW((MemoryHierarchy(no_walkers, 2, 64 * 1024, pt)),
                  SimAbort);
 }
 

@@ -23,7 +23,7 @@ class MemoryHierarchyTest : public ::testing::Test
 
     MemConfig config_;
     PageTable pt_;
-    MemoryHierarchyT<ObserverMode::None> hier_;
+    MemoryHierarchy hier_;
 };
 
 TEST_F(MemoryHierarchyTest, NonResidentPageFaults)
@@ -121,8 +121,8 @@ TEST_F(MemoryHierarchyTest, ExtraL2LatencySlowsMisses)
     MemConfig config;
     PageTable pt;
     pt.map(1, 1);
-    MemoryHierarchyT<ObserverMode::None> plain(config, 1, kPage, pt);
-    MemoryHierarchyT<ObserverMode::None> slowed(config, 1, kPage, pt);
+    MemoryHierarchy plain(config, 1, kPage, pt);
+    MemoryHierarchy slowed(config, 1, kPage, pt);
     slowed.setExtraL2Latency(100);
     const Cycle t0 = plain.access(0, 0x10000, false, 0).done;
     const Cycle t1 = slowed.access(0, 0x10000, false, 0).done;
@@ -136,7 +136,7 @@ TEST_F(MemoryHierarchyTest, MshrLimitStallsFloodOfMisses)
     PageTable pt;
     for (PageNum p = 0; p < 64; ++p)
         pt.map(p, p);
-    MemoryHierarchyT<ObserverMode::None> hier(config, 1, kPage, pt);
+    MemoryHierarchy hier(config, 1, kPage, pt);
     // 64 distinct lines, same cycle: far more misses than MSHRs.
     for (int i = 0; i < 64; ++i)
         hier.access(0, static_cast<VAddr>(i) * kPage, false, 0);

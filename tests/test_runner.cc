@@ -162,15 +162,28 @@ TEST(SweepRunner, ParallelMatrixMatchesSerial)
     const std::vector<Policy> policies = {Policy::Baseline, Policy::To,
                                           Policy::Ue};
 
-    auto serial = runMatrix(workloads, policies, tinyOptions(1),
-                            /*verbose=*/false);
-    auto parallel = runMatrix(workloads, policies, tinyOptions(4),
-                              /*verbose=*/false);
+    auto sweep = [&](std::size_t jobs) {
+        SweepSpec spec;
+        spec.bench = "test";
+        spec.workloads = workloads;
+        spec.policies = policies;
+        spec.opt = tinyOptions(jobs);
+        spec.verbose = false;
+        return SweepRunner(std::move(spec)).run();
+    };
+    const SweepResult serial = sweep(1);
+    const SweepResult parallel = sweep(4);
 
     for (const auto &w : workloads) {
         for (Policy p : policies) {
             SCOPED_TRACE(w + "/" + policyName(p));
-            expectSameResult(serial[w][p], parallel[w][p]);
+            const CellOutcome *a = serial.find(w, p);
+            const CellOutcome *b = parallel.find(w, p);
+            ASSERT_NE(a, nullptr);
+            ASSERT_NE(b, nullptr);
+            ASSERT_TRUE(a->ok) << a->error;
+            ASSERT_TRUE(b->ok) << b->error;
+            expectSameResult(a->result, b->result);
         }
     }
 }

@@ -65,10 +65,10 @@ class SmTest : public ::testing::Test
 
     EventQueue events_;
     GpuMemoryManager manager_;
-    MemoryHierarchyT<ObserverMode::None> hierarchy_;
-    UvmRuntimeT<ObserverMode::None> runtime_;
+    MemoryHierarchy hierarchy_;
+    UvmRuntime runtime_;
     Recorder recorder_;
-    SmT<ObserverMode::None> sm_;
+    Sm sm_;
 };
 
 WarpProgram

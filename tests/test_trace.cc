@@ -128,20 +128,28 @@ TEST(TraceExport, CounterCsvHasHeaderRowsAndDropTrailer)
     EXPECT_NE(csv.find("# dropped_events,0"), std::string::npos);
 }
 
-/** Runs one tiny BFS-TWC cell with the given observers attached; the
+/** Runs one tiny BFS-TWC cell — or, with @p mix, a BFS-TF:0.5 +
+ *  PR:0.5 two-tenant mix — with the given observers attached; the
  *  system (and with it the trace sink and auditor) stays alive as
  *  @p keep_alive.back(). */
 RunResult
 runObserved(Policy policy, bool tracing, bool auditing,
-            std::vector<std::unique_ptr<GpuUvmSystem>> &keep_alive)
+            std::vector<std::unique_ptr<GpuUvmSystem>> &keep_alive,
+            bool mix = false)
 {
     SimConfig config =
-        paperConfig(0.5, deriveWorkloadSeed(1, "BFS-TWC"));
+        paperConfig(0.5, deriveWorkloadSeed(1, mix ? "BFS-TF+PR"
+                                                   : "BFS-TWC"));
     config = applyPolicy(config, policy);
     config.trace.enabled = tracing;
     config.check.enabled = auditing;
-    auto workload = WorkloadRegistry::instance().create("BFS-TWC");
     keep_alive.push_back(std::make_unique<GpuUvmSystem>(config));
+    if (mix) {
+        return keep_alive.back()->run(
+            {TenantSpec{"BFS-TF", 0.5, WorkloadScale::Tiny},
+             TenantSpec{"PR", 0.5, WorkloadScale::Tiny}});
+    }
+    auto workload = WorkloadRegistry::instance().create("BFS-TWC");
     return keep_alive.back()->run(*workload, WorkloadScale::Tiny);
 }
 
@@ -150,6 +158,7 @@ struct Observers {
     bool trace;
     bool audit;
     const char *name;
+    bool mix = false; //!< run the two-tenant mix instead of one cell
 };
 
 void
@@ -159,10 +168,12 @@ PrintTo(const Observers &o, std::ostream *os)
 }
 
 /**
- * Observing a run must not perturb it: every observer combination
- * shares the ObserverMode::Observed hot path, and each must match the
- * unobserved ObserverMode::None run field for field, down to the order
- * in which events were dispatched.
+ * Observing a run must not perturb it: every observer combination must
+ * match the same run with no observer attached field for field, down
+ * to the order in which events were dispatched. The observer sites are
+ * null checks on the one compiled hot path, so this pins that no site
+ * feeds back into simulated state. The mix case also covers the
+ * per-tenant hierarchies and GPUs a multi-tenant run builds.
  */
 class ObservedRun : public ::testing::TestWithParam<Observers>
 {
@@ -171,9 +182,11 @@ class ObservedRun : public ::testing::TestWithParam<Observers>
 TEST_P(ObservedRun, DoesNotPerturbSimulatedResults)
 {
     std::vector<std::unique_ptr<GpuUvmSystem>> keep;
-    const RunResult off = runObserved(Policy::ToUe, false, false, keep);
+    const bool mix = GetParam().mix;
+    const RunResult off =
+        runObserved(Policy::ToUe, false, false, keep, mix);
     const RunResult on = runObserved(Policy::ToUe, GetParam().trace,
-                                     GetParam().audit, keep);
+                                     GetParam().audit, keep, mix);
 
     GpuUvmSystem &observed = *keep.back();
     if (GetParam().trace) {
@@ -198,13 +211,26 @@ TEST_P(ObservedRun, DoesNotPerturbSimulatedResults)
     EXPECT_EQ(off.context_switches, on.context_switches);
     EXPECT_EQ(off.pcie_h2d_bytes, on.pcie_h2d_bytes);
     EXPECT_EQ(off.pcie_d2h_bytes, on.pcie_d2h_bytes);
+    ASSERT_EQ(off.tenants.size(), mix ? 2u : 0u);
+    ASSERT_EQ(on.tenants.size(), off.tenants.size());
+    for (std::size_t i = 0; i < off.tenants.size(); ++i) {
+        EXPECT_EQ(off.tenants[i].cycles, on.tenants[i].cycles) << i;
+        EXPECT_EQ(off.tenants[i].instructions, on.tenants[i].instructions)
+            << i;
+        EXPECT_EQ(off.tenants[i].demand_pages, on.tenants[i].demand_pages)
+            << i;
+        EXPECT_EQ(off.tenants[i].evictions_suffered,
+                  on.tenants[i].evictions_suffered)
+            << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Observers, ObservedRun,
     ::testing::Values(Observers{true, false, "Trace"},
                       Observers{false, true, "Audit"},
-                      Observers{true, true, "TraceAndAudit"}),
+                      Observers{true, true, "TraceAndAudit"},
+                      Observers{true, true, "MixTraceAndAudit", true}),
     [](const ::testing::TestParamInfo<Observers> &info) {
         return std::string(info.param.name);
     });
