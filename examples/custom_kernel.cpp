@@ -82,7 +82,7 @@ class HistogramWorkload : public Workload
             tids.push_back(tid);
             ka.push_back(self->d_keys_.addr(tid));
         }
-        co_yield WarpOp::load(std::move(ka));
+        co_yield WarpOp::load(ka);
 
         std::vector<VAddr> ha;
         for (std::uint32_t tid : tids) {
@@ -90,7 +90,7 @@ class HistogramWorkload : public Workload
             ++self->d_hist_[bin];
             ha.push_back(self->d_hist_.addr(bin));
         }
-        co_yield WarpOp::atomic(std::move(ha));
+        co_yield WarpOp::atomic(ha);
     }
 
   private:

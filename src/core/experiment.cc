@@ -85,11 +85,18 @@ parseBenchArgs(int argc, char **argv)
         };
         auto next_f64 = [&](const char *what) -> double {
             const std::string v = next(what);
+            // The whole token must parse to a finite number: std::stod
+            // alone reads "0.5x" as 0.5 and accepts "nan" and "inf".
+            std::size_t used = 0;
+            double d = 0.0;
             try {
-                return std::stod(v);
+                d = std::stod(v, &used);
             } catch (const std::exception &) {
                 fatal("invalid value '%s' for %s", v.c_str(), what);
             }
+            if (used != v.size() || !std::isfinite(d))
+                fatal("invalid value '%s' for %s", v.c_str(), what);
+            return d;
         };
         if (arg == "--csv") {
             opt.csv = true;
@@ -109,6 +116,10 @@ parseBenchArgs(int argc, char **argv)
                 fatal("unknown scale '%s'", v.c_str());
         } else if (arg == "--ratio") {
             opt.ratio = next_f64("--ratio");
+            if (opt.ratio < 0.0)
+                fatal("invalid value '%s' for --ratio: must be >= 0 "
+                      "(0 = unlimited memory)",
+                      argv[i]);
         } else if (arg == "--seed") {
             opt.seed = next_u64("--seed");
         } else if (arg == "--jobs") {

@@ -17,7 +17,7 @@ std::vector<VAddr>
 Coalescer::coalesce(const std::vector<VAddr> &lane_addrs)
 {
     std::vector<VAddr> lines;
-    coalesceInto(lane_addrs, &lines);
+    coalesceInto(lane_addrs.data(), lane_addrs.size(), &lines);
     return lines;
 }
 

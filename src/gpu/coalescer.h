@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/gpu/lane_vec.h"
 #include "src/sim/types.h"
 
 namespace bauvm
@@ -38,19 +37,6 @@ class Coalescer
      */
     void coalesceInto(const VAddr *lane_addrs, std::size_t n,
                       std::vector<VAddr> *out);
-
-    void
-    coalesceInto(const LaneVec &lane_addrs, std::vector<VAddr> *out)
-    {
-        coalesceInto(lane_addrs.data(), lane_addrs.size(), out);
-    }
-
-    void
-    coalesceInto(const std::vector<VAddr> &lane_addrs,
-                 std::vector<VAddr> *out)
-    {
-        coalesceInto(lane_addrs.data(), lane_addrs.size(), out);
-    }
 
     std::uint64_t memoryInstructions() const { return instructions_; }
     std::uint64_t transactions() const { return transactions_; }

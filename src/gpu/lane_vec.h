@@ -1,78 +1,67 @@
 /**
  * @file
- * Small-buffer address list for warp memory operations.
+ * Small-buffer vectors for the per-lane scratch of warp kernels.
  *
- * Every memory WarpOp carries the per-lane addresses of one coalesced
- * access — at most a few per lane of a 32-wide warp. A std::vector
- * heap-allocates each of those lists, which made the allocator the
- * single largest cost outside the memory model (millions of
- * malloc/free pairs per simulated kernel). LaneVec stores up to
- * kInline addresses in place and only falls back to the heap for the
- * rare oversized list, so building and yielding a memory op is
- * allocation-free on the common path.
+ * A kernel step builds short lists with at most a few entries per lane
+ * of a 32-wide warp: the lane addresses of one memory op, the vertices
+ * its lanes own, their edge cursors. std::vector heap-allocates every
+ * one of those lists on every step. SmallVec<T, N> keeps up to N
+ * elements in place and falls back to the heap only past N, so a
+ * kernel step is allocation-free on the common path.
  *
- * Deliberately minimal: append-only growth plus the read API the SM
- * and the workloads actually use. Moves transfer the heap block when
- * one exists and otherwise copy the (small) live prefix.
+ * LaneVec holds the addresses a kernel yields. A memory WarpOp only
+ * views them (see warp_program.h), so the LaneVec must stay alive and
+ * unchanged until the coroutine resumes. PerLane<T> is the one-entry-
+ * per-lane list for everything else a kernel step keeps.
+ *
+ * Deliberately minimal: append-only growth plus the read API the
+ * kernels use. T must be default-constructible and trivially
+ * destructible.
  */
 
 #ifndef BAUVM_GPU_LANE_VEC_H_
 #define BAUVM_GPU_LANE_VEC_H_
 
 #include <cstddef>
-#include <utility>
+#include <type_traits>
 
 #include "src/sim/types.h"
 
 namespace bauvm
 {
 
-/** Inline-storage vector of per-lane addresses (see file comment). */
-class LaneVec
+/** Inline-storage vector (see file comment). */
+template <typename T, std::size_t N>
+class SmallVec
 {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "SmallVec never runs element destructors");
+
   public:
-    /**
-     * Covers every shipped kernel's widest op (up to three addresses
-     * per lane of a 32-wide warp) without touching the heap.
-     */
-    static constexpr std::size_t kInline = 128;
+    static constexpr std::size_t kInline = N;
 
-    LaneVec() = default;
-    ~LaneVec() { delete[] heap_; }
+    SmallVec() = default;
+    ~SmallVec() { delete[] heap_; }
 
-    LaneVec(const LaneVec &o) { appendAll(o); }
-
-    LaneVec &
-    operator=(const LaneVec &o)
+    /** @p n copies of @p value. */
+    SmallVec(std::size_t n, const T &value)
     {
-        if (this != &o) {
-            size_ = 0;
-            appendAll(o);
-        }
-        return *this;
+        reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
+            data()[i] = value;
+        size_ = n;
     }
 
-    LaneVec(LaneVec &&o) noexcept { stealFrom(o); }
-
-    LaneVec &
-    operator=(LaneVec &&o) noexcept
-    {
-        if (this != &o) {
-            delete[] heap_;
-            heap_ = nullptr;
-            cap_ = kInline;
-            size_ = 0;
-            stealFrom(o);
-        }
-        return *this;
-    }
+    // A yielded WarpOp views the list in place, so lists never move.
+    SmallVec(const SmallVec &) = delete;
+    SmallVec &operator=(const SmallVec &) = delete;
 
     void
-    push_back(VAddr a)
+    push_back(const T &v)
     {
         if (size_ == cap_)
             grow(cap_ * 2);
-        data()[size_++] = a;
+        data()[size_++] = v;
     }
 
     void
@@ -87,51 +76,23 @@ class LaneVec
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    VAddr *data() { return heap_ ? heap_ : inline_; }
-    const VAddr *data() const { return heap_ ? heap_ : inline_; }
+    T *data() { return heap_ ? heap_ : inline_; }
+    const T *data() const { return heap_ ? heap_ : inline_; }
 
-    VAddr operator[](std::size_t i) const { return data()[i]; }
-    VAddr &operator[](std::size_t i) { return data()[i]; }
-    VAddr back() const { return data()[size_ - 1]; }
+    const T &operator[](std::size_t i) const { return data()[i]; }
+    T &operator[](std::size_t i) { return data()[i]; }
 
-    const VAddr *begin() const { return data(); }
-    const VAddr *end() const { return data() + size_; }
-    VAddr *begin() { return data(); }
-    VAddr *end() { return data() + size_; }
+    const T *begin() const { return data(); }
+    const T *end() const { return data() + size_; }
+    T *begin() { return data(); }
+    T *end() { return data() + size_; }
 
   private:
     void
-    appendAll(const LaneVec &o)
-    {
-        reserve(o.size_);
-        VAddr *d = data();
-        const VAddr *s = o.data();
-        for (std::size_t i = 0; i < o.size_; ++i)
-            d[i] = s[i];
-        size_ = o.size_;
-    }
-
-    /** Move-construct body: @p o is left empty and inline. */
-    void
-    stealFrom(LaneVec &o) noexcept
-    {
-        if (o.heap_) {
-            heap_ = std::exchange(o.heap_, nullptr);
-            cap_ = std::exchange(o.cap_, kInline);
-            size_ = o.size_;
-        } else {
-            size_ = o.size_;
-            for (std::size_t i = 0; i < size_; ++i)
-                inline_[i] = o.inline_[i];
-        }
-        o.size_ = 0;
-    }
-
-    void
     grow(std::size_t new_cap)
     {
-        VAddr *block = new VAddr[new_cap];
-        const VAddr *s = data();
+        T *block = new T[new_cap];
+        const T *s = data();
         for (std::size_t i = 0; i < size_; ++i)
             block[i] = s[i];
         delete[] heap_;
@@ -139,11 +100,22 @@ class LaneVec
         cap_ = new_cap;
     }
 
-    VAddr *heap_ = nullptr;
+    T *heap_ = nullptr;
     std::size_t size_ = 0;
-    std::size_t cap_ = kInline;
-    VAddr inline_[kInline];
+    std::size_t cap_ = N;
+    T inline_[N];
 };
+
+/**
+ * The lane addresses of one memory op. 128 covers every shipped
+ * kernel's widest op (up to three addresses per lane of a 32-wide
+ * warp) without touching the heap.
+ */
+using LaneVec = SmallVec<VAddr, 128>;
+
+/** One entry per lane of a 32-wide warp. */
+template <typename T>
+using PerLane = SmallVec<T, 32>;
 
 } // namespace bauvm
 

@@ -326,7 +326,8 @@ Sm::execMemoryOp(std::uint32_t slot, std::uint32_t warp,
     WarpState &ws = b.warps[warp];
     const bool write = op.kind != WarpOp::Kind::Load;
 
-    coalescer_.coalesceInto(op.addrs, &line_scratch_);
+    coalescer_.coalesceInto(op.addrs.data(), op.addrs.size(),
+                            &line_scratch_);
     // Lines are ascending, so faulting pages come out nondecreasing:
     // deduplicating needs only a tail compare, and the pages are
     // registered with the runtime in ascending order.

@@ -15,12 +15,13 @@
 #define BAUVM_GPU_WARP_PROGRAM_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/gpu/lane_vec.h"
 #include "src/sim/types.h"
@@ -28,7 +29,15 @@
 namespace bauvm
 {
 
-/** One timing operation yielded by a warp program. */
+/**
+ * One timing operation yielded by a warp program.
+ *
+ * A memory op only views its lane addresses: they stay owned by the
+ * kernel, in a coroutine-frame local or in a temporary of the co_yield
+ * expression. Either one lives until the coroutine resumes, so the
+ * view is valid for as long as the SM reads it. A kernel must not
+ * change or destroy the addresses it yielded before it is resumed.
+ */
 struct WarpOp {
     enum class Kind {
         Compute, //!< occupy the warp for `cycles`
@@ -39,49 +48,28 @@ struct WarpOp {
     };
 
     Kind kind = Kind::Compute;
-    Cycle cycles = 1;  //!< Compute only
-    LaneVec addrs;     //!< per-lane addresses (memory kinds)
+    Cycle cycles = 1;                 //!< Compute only
+    std::span<const VAddr> addrs;     //!< per-lane addresses (memory kinds)
 
     static WarpOp compute(Cycle c) { return WarpOp{Kind::Compute, c, {}}; }
-    static WarpOp load(LaneVec a)
-    {
-        return WarpOp{Kind::Load, 0, std::move(a)};
-    }
-    static WarpOp store(LaneVec a)
-    {
-        return WarpOp{Kind::Store, 0, std::move(a)};
-    }
-    static WarpOp atomic(LaneVec a)
-    {
-        return WarpOp{Kind::Atomic, 0, std::move(a)};
-    }
     static WarpOp sync() { return WarpOp{Kind::Sync, 0, {}}; }
 
-    /**
-     * Vector-accepting twins for external kernels written against the
-     * historical std::vector address lists (cold path: one copy).
-     */
-    static WarpOp load(const std::vector<VAddr> &a)
+    /** Memory ops over any contiguous address list: a LaneVec, a
+     *  std::vector<VAddr>, an array. */
+    static WarpOp
+    load(std::span<const VAddr> a)
     {
-        return WarpOp{Kind::Load, 0, fromVector(a)};
+        return WarpOp{Kind::Load, 0, a};
     }
-    static WarpOp store(const std::vector<VAddr> &a)
+    static WarpOp
+    store(std::span<const VAddr> a)
     {
-        return WarpOp{Kind::Store, 0, fromVector(a)};
+        return WarpOp{Kind::Store, 0, a};
     }
-    static WarpOp atomic(const std::vector<VAddr> &a)
+    static WarpOp
+    atomic(std::span<const VAddr> a)
     {
-        return WarpOp{Kind::Atomic, 0, fromVector(a)};
-    }
-
-    static LaneVec
-    fromVector(const std::vector<VAddr> &a)
-    {
-        LaneVec v;
-        v.reserve(a.size());
-        for (const VAddr addr : a)
-            v.push_back(addr);
-        return v;
+        return WarpOp{Kind::Atomic, 0, a};
     }
 
     bool isMemory() const
@@ -92,27 +80,36 @@ struct WarpOp {
 };
 
 /**
- * Variadic builders used inside coroutines. (GCC 12 miscompiles
- * initializer-list temporaries in co_yield expressions — "array used as
- * initializer" — so kernels construct the address vectors through
- * push_back instead of brace initialization.)
+ * The owning temporary loadOf/storeOf return: the addresses live in it,
+ * and it converts to a WarpOp viewing them. As a co_yield operand it
+ * lives until the coroutine resumes.
+ */
+template <std::size_t N>
+struct InlineOp {
+    WarpOp::Kind kind;
+    VAddr addrs[N];
+
+    operator WarpOp() const { return WarpOp{kind, 0, addrs}; }
+};
+
+/**
+ * Builders for memory ops over a few scalar addresses, used as
+ * `co_yield loadOf(a, b);`. (GCC 12 miscompiles initializer-list
+ * temporaries in co_yield expressions — "array used as initializer" —
+ * so kernels build longer address lists through push_back.)
  */
 template <typename... Addrs>
-WarpOp
+InlineOp<sizeof...(Addrs)>
 loadOf(Addrs... addrs)
 {
-    LaneVec v;
-    (v.push_back(addrs), ...);
-    return WarpOp::load(std::move(v));
+    return {WarpOp::Kind::Load, {static_cast<VAddr>(addrs)...}};
 }
 
 template <typename... Addrs>
-WarpOp
+InlineOp<sizeof...(Addrs)>
 storeOf(Addrs... addrs)
 {
-    LaneVec v;
-    (v.push_back(addrs), ...);
-    return WarpOp::store(std::move(v));
+    return {WarpOp::Kind::Store, {static_cast<VAddr>(addrs)...}};
 }
 
 /**
@@ -136,7 +133,7 @@ class WarpProgram
         std::suspend_always final_suspend() noexcept { return {}; }
         std::suspend_always yield_value(WarpOp o)
         {
-            op = std::move(o);
+            op = o;
             return {};
         }
         void return_void() {}

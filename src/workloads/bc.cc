@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -127,14 +126,14 @@ class BcWorkload : public GraphWorkloadBase
             LaneVec ea;
             for (std::uint64_t i = 0; i < chunk; ++i)
                 ea.push_back(self->d_col_.addr(e + i));
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec la;
             for (std::uint64_t i = 0; i < chunk; ++i) {
                 la.push_back(
                     self->d_level_.addr(self->d_col_[e + i]));
             }
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
 
             LaneVec sa;
             for (std::uint64_t i = 0; i < chunk; ++i) {
@@ -150,7 +149,7 @@ class BcWorkload : public GraphWorkloadBase
                 }
             }
             if (!sa.empty())
-                co_yield WarpOp::atomic(std::move(sa));
+                co_yield WarpOp::atomic(sa);
         }
     }
 
@@ -179,14 +178,14 @@ class BcWorkload : public GraphWorkloadBase
             LaneVec ea;
             for (std::uint64_t i = 0; i < chunk; ++i)
                 ea.push_back(self->d_col_.addr(e + i));
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec la;
             for (std::uint64_t i = 0; i < chunk; ++i) {
                 la.push_back(
                     self->d_level_.addr(self->d_col_[e + i]));
             }
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
 
             LaneVec da;
             bool any = false;
@@ -199,7 +198,7 @@ class BcWorkload : public GraphWorkloadBase
                 }
             }
             if (any)
-                co_yield WarpOp::load(std::move(da));
+                co_yield WarpOp::load(da);
             for (std::uint64_t i = 0; i < chunk; ++i) {
                 const VertexId nb = self->d_col_[e + i];
                 if (self->d_level_[nb] == level + 1 &&

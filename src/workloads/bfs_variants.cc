@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -153,7 +152,7 @@ class BfsWorkload : public GraphWorkloadBase
                    bool atomic)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        PerLane<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const VertexId v = ctx.globalThread(lane);
@@ -164,9 +163,9 @@ class BfsWorkload : public GraphWorkloadBase
         }
         if (owned.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<VertexId> active;
+        PerLane<VertexId> active;
         for (VertexId v : owned) {
             if (self->d_level_[v] == level)
                 active.push_back(v);
@@ -174,14 +173,14 @@ class BfsWorkload : public GraphWorkloadBase
         if (active.empty())
             co_return;
 
-        a = {};
+        a.clear();
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<std::uint64_t> pos, end;
+        PerLane<std::uint64_t> pos, end;
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
@@ -189,7 +188,7 @@ class BfsWorkload : public GraphWorkloadBase
 
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            PerLane<std::size_t> who;
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -198,17 +197,17 @@ class BfsWorkload : public GraphWorkloadBase
             }
             if (who.empty())
                 break;
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec la;
-            std::vector<VertexId> nbrs;
+            PerLane<VertexId> nbrs;
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
                 nbrs.push_back(nb);
                 la.push_back(self->d_level_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
 
             LaneVec sa;
             for (VertexId nb : nbrs) {
@@ -222,9 +221,9 @@ class BfsWorkload : public GraphWorkloadBase
                 // Branch instead of a conditional operator: GCC 12
                 // double-destroys conditional temporaries in co_yield.
                 if (atomic)
-                    co_yield WarpOp::atomic(std::move(sa));
+                    co_yield WarpOp::atomic(sa);
                 else
-                    co_yield WarpOp::store(std::move(sa));
+                    co_yield WarpOp::store(sa);
             }
         }
     }
@@ -253,16 +252,16 @@ class BfsWorkload : public GraphWorkloadBase
             LaneVec ea;
             for (std::uint64_t i = 0; i < chunk; ++i)
                 ea.push_back(self->d_col_.addr(e + i));
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec la;
-            std::vector<VertexId> nbrs;
+            PerLane<VertexId> nbrs;
             for (std::uint64_t i = 0; i < chunk; ++i) {
                 const VertexId nb = self->d_col_[e + i];
                 nbrs.push_back(nb);
                 la.push_back(self->d_level_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
 
             LaneVec sa;
             for (VertexId nb : nbrs) {
@@ -273,7 +272,7 @@ class BfsWorkload : public GraphWorkloadBase
                 }
             }
             if (!sa.empty())
-                co_yield WarpOp::store(std::move(sa));
+                co_yield WarpOp::store(sa);
         }
     }
 
@@ -282,7 +281,7 @@ class BfsWorkload : public GraphWorkloadBase
     frontierWarp(WarpCtx ctx, BfsWorkload *self, std::uint32_t level,
                  std::uint32_t fsize)
     {
-        std::vector<std::uint32_t> slots;
+        PerLane<std::uint32_t> slots;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t idx = ctx.globalThread(lane);
@@ -293,20 +292,20 @@ class BfsWorkload : public GraphWorkloadBase
         }
         if (slots.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<VertexId> active;
+        PerLane<VertexId> active;
         for (std::uint32_t idx : slots)
             active.push_back(self->d_frontier_[idx]);
 
-        a = {};
+        a.clear();
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<std::uint64_t> pos, end;
+        PerLane<std::uint64_t> pos, end;
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
@@ -314,7 +313,7 @@ class BfsWorkload : public GraphWorkloadBase
 
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            PerLane<std::size_t> who;
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -323,17 +322,17 @@ class BfsWorkload : public GraphWorkloadBase
             }
             if (who.empty())
                 break;
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec la;
-            std::vector<VertexId> nbrs;
+            PerLane<VertexId> nbrs;
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
                 nbrs.push_back(nb);
                 la.push_back(self->d_level_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
 
             LaneVec sa;
             for (VertexId nb : nbrs) {
@@ -347,7 +346,7 @@ class BfsWorkload : public GraphWorkloadBase
                 }
             }
             if (!sa.empty())
-                co_yield WarpOp::atomic(std::move(sa));
+                co_yield WarpOp::atomic(sa);
         }
     }
 
@@ -356,7 +355,7 @@ class BfsWorkload : public GraphWorkloadBase
     edgeCentricWarp(WarpCtx ctx, BfsWorkload *self, std::uint32_t level)
     {
         const std::uint64_t e_count = self->graph_->numEdges();
-        std::vector<std::uint64_t> edges;
+        PerLane<std::uint64_t> edges;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint64_t e = ctx.globalThread(lane);
@@ -367,15 +366,15 @@ class BfsWorkload : public GraphWorkloadBase
         }
         if (edges.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
         // Load the source levels (random gather).
-        a = {};
+        a.clear();
         for (std::uint64_t e : edges)
             a.push_back(self->d_level_.addr(self->d_esrc_[e]));
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<std::uint64_t> live;
+        PerLane<std::uint64_t> live;
         for (std::uint64_t e : edges) {
             if (self->d_level_[self->d_esrc_[e]] == level)
                 live.push_back(e);
@@ -383,15 +382,15 @@ class BfsWorkload : public GraphWorkloadBase
         if (live.empty())
             co_return;
 
-        a = {};
+        a.clear();
         for (std::uint64_t e : live)
             a.push_back(self->d_edst_.addr(e));
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        a = {};
+        a.clear();
         for (std::uint64_t e : live)
             a.push_back(self->d_level_.addr(self->d_edst_[e]));
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
         LaneVec sa;
         for (std::uint64_t e : live) {
@@ -403,7 +402,7 @@ class BfsWorkload : public GraphWorkloadBase
             }
         }
         if (!sa.empty())
-            co_yield WarpOp::store(std::move(sa));
+            co_yield WarpOp::store(sa);
     }
 
     std::string variant_;

@@ -27,7 +27,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -140,7 +139,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
     topDownWarp(WarpCtx ctx, HybridBfsWorkload *self, std::uint32_t level,
                 std::uint32_t fsize)
     {
-        std::vector<std::uint32_t> slots;
+        PerLane<std::uint32_t> slots;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t idx = ctx.globalThread(lane);
@@ -151,22 +150,22 @@ class HybridBfsWorkload : public GraphWorkloadBase
         }
         if (slots.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<VertexId> active;
+        PerLane<VertexId> active;
         for (std::uint32_t idx : slots) {
             active.push_back(
                 static_cast<VertexId>(self->d_frontier_[idx]));
         }
 
-        a = {};
+        a.clear();
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<std::uint64_t> pos, end;
+        PerLane<std::uint64_t> pos, end;
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
@@ -174,7 +173,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
 
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            PerLane<std::size_t> who;
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -183,17 +182,17 @@ class HybridBfsWorkload : public GraphWorkloadBase
             }
             if (who.empty())
                 break;
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec la;
-            std::vector<VertexId> nbrs;
+            PerLane<VertexId> nbrs;
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
                 nbrs.push_back(nb);
                 la.push_back(self->d_level_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
 
             LaneVec sa;
             for (VertexId nb : nbrs) {
@@ -207,7 +206,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
                 }
             }
             if (!sa.empty())
-                co_yield WarpOp::atomic(std::move(sa));
+                co_yield WarpOp::atomic(sa);
         }
     }
 
@@ -218,7 +217,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
                  std::uint32_t level)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        PerLane<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const VertexId v = ctx.globalThread(lane);
@@ -229,9 +228,9 @@ class HybridBfsWorkload : public GraphWorkloadBase
         }
         if (owned.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<VertexId> unvisited;
+        PerLane<VertexId> unvisited;
         for (VertexId v : owned) {
             if (self->d_level_[v] == kInf)
                 unvisited.push_back(v);
@@ -239,15 +238,15 @@ class HybridBfsWorkload : public GraphWorkloadBase
         if (unvisited.empty())
             co_return;
 
-        a = {};
+        a.clear();
         for (VertexId v : unvisited) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<std::uint64_t> pos, end;
-        std::vector<bool> found(unvisited.size(), false);
+        PerLane<std::uint64_t> pos, end;
+        PerLane<bool> found(unvisited.size(), false);
         for (VertexId v : unvisited) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
@@ -255,7 +254,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
 
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            PerLane<std::size_t> who;
             for (std::size_t i = 0; i < unvisited.size(); ++i) {
                 if (!found[i] && pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -264,17 +263,17 @@ class HybridBfsWorkload : public GraphWorkloadBase
             }
             if (who.empty())
                 break;
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec la;
-            std::vector<std::pair<std::size_t, VertexId>> probes;
+            PerLane<std::pair<std::size_t, VertexId>> probes;
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
-                probes.emplace_back(i, nb);
+                probes.push_back({i, nb});
                 la.push_back(self->d_level_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
 
             LaneVec sa;
             for (const auto &[i, nb] : probes) {
@@ -292,7 +291,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
                 }
             }
             if (!sa.empty())
-                co_yield WarpOp::atomic(std::move(sa));
+                co_yield WarpOp::atomic(sa);
         }
     }
 

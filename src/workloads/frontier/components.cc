@@ -13,7 +13,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -94,7 +93,7 @@ class ComponentsWorkload : public GraphWorkloadBase
     pushWarp(WarpCtx ctx, ComponentsWorkload *self, std::uint32_t round,
              std::uint32_t fsize)
     {
-        std::vector<std::uint32_t> slots;
+        PerLane<std::uint32_t> slots;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t idx = ctx.globalThread(lane);
@@ -105,26 +104,26 @@ class ComponentsWorkload : public GraphWorkloadBase
         }
         if (slots.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<VertexId> active;
-        a = {};
+        PerLane<VertexId> active;
+        a.clear();
         for (std::uint32_t idx : slots) {
             const auto v =
                 static_cast<VertexId>(self->d_frontier_[idx]);
             active.push_back(v);
             a.push_back(self->d_label_.addr(v));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        a = {};
+        a.clear();
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<std::uint64_t> pos, end;
+        PerLane<std::uint64_t> pos, end;
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
@@ -132,7 +131,7 @@ class ComponentsWorkload : public GraphWorkloadBase
 
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            PerLane<std::size_t> who;
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -141,17 +140,17 @@ class ComponentsWorkload : public GraphWorkloadBase
             }
             if (who.empty())
                 break;
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec la;
-            std::vector<std::pair<std::size_t, VertexId>> probes;
+            PerLane<std::pair<std::size_t, VertexId>> probes;
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
-                probes.emplace_back(i, nb);
+                probes.push_back({i, nb});
                 la.push_back(self->d_label_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
 
             LaneVec sa;
             for (const auto &[i, nb] : probes) {
@@ -175,7 +174,7 @@ class ComponentsWorkload : public GraphWorkloadBase
                 }
             }
             if (!sa.empty())
-                co_yield WarpOp::atomic(std::move(sa));
+                co_yield WarpOp::atomic(sa);
         }
     }
 

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -130,7 +129,7 @@ class KtrussWorkload : public GraphWorkloadBase
                 ea.push_back(self->d_fwd_col_.addr(e + i));
                 ea.push_back(self->d_alive_.addr(e + i));
             }
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
         }
 
         const VertexId *col = self->fwd_.col.data();
@@ -153,7 +152,7 @@ class KtrussWorkload : public GraphWorkloadBase
                     ea.push_back(self->d_fwd_col_.addr(e + i));
                     ea.push_back(self->d_alive_.addr(e + i));
                 }
-                co_yield WarpOp::load(std::move(ea));
+                co_yield WarpOp::load(ea);
 
                 LaneVec sa;
                 for (std::uint64_t i = 0; i < chunk; ++i) {
@@ -174,7 +173,7 @@ class KtrussWorkload : public GraphWorkloadBase
                     }
                 }
                 if (!sa.empty())
-                    co_yield WarpOp::atomic(std::move(sa));
+                    co_yield WarpOp::atomic(sa);
             }
         }
     }
@@ -185,7 +184,7 @@ class KtrussWorkload : public GraphWorkloadBase
     filterWarp(WarpCtx ctx, KtrussWorkload *self)
     {
         const std::uint64_t e_count = self->edges_;
-        std::vector<std::uint64_t> owned;
+        PerLane<std::uint64_t> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint64_t e = ctx.globalThread(lane);
@@ -197,7 +196,7 @@ class KtrussWorkload : public GraphWorkloadBase
         }
         if (owned.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
         LaneVec sa;
         for (std::uint64_t e : owned) {
@@ -212,7 +211,7 @@ class KtrussWorkload : public GraphWorkloadBase
             self->d_support_[e] = 0;
             sa.push_back(self->d_support_.addr(e));
         }
-        co_yield WarpOp::store(std::move(sa));
+        co_yield WarpOp::store(sa);
     }
 
   private:

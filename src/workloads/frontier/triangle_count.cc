@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -100,9 +99,7 @@ class TriangleCountWorkload : public GraphWorkloadBase
         const std::uint64_t begin = self->fwd_.row[u];
         const std::uint64_t end = self->fwd_.row[u + 1];
         if (end - begin < 2) {
-            LaneVec za;
-            za.push_back(self->d_count_.addr(u));
-            co_yield WarpOp::store(std::move(za));
+            co_yield storeOf(self->d_count_.addr(u));
             co_return;
         }
 
@@ -113,7 +110,7 @@ class TriangleCountWorkload : public GraphWorkloadBase
             LaneVec ea;
             for (std::uint64_t i = 0; i < chunk; ++i)
                 ea.push_back(self->d_fwd_col_.addr(e + i));
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
         }
 
         std::uint64_t triangles = 0;
@@ -133,7 +130,7 @@ class TriangleCountWorkload : public GraphWorkloadBase
                 LaneVec ea;
                 for (std::uint64_t i = 0; i < chunk; ++i)
                     ea.push_back(self->d_fwd_col_.addr(e + i));
-                co_yield WarpOp::load(std::move(ea));
+                co_yield WarpOp::load(ea);
                 for (std::uint64_t i = 0; i < chunk; ++i) {
                     const VertexId x = self->fwd_.col[e + i];
                     while (p < j && ucol[p] < x)
@@ -144,9 +141,7 @@ class TriangleCountWorkload : public GraphWorkloadBase
             }
         }
         self->d_count_[u] = triangles;
-        LaneVec sa;
-        sa.push_back(self->d_count_.addr(u));
-        co_yield WarpOp::store(std::move(sa));
+        co_yield storeOf(self->d_count_.addr(u));
     }
 
   private:

@@ -14,9 +14,9 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/graph/reference_algorithms.h"
@@ -33,7 +33,7 @@ class GcWorkload : public GraphWorkloadBase
 {
   public:
     explicit GcWorkload(std::string variant)
-        : variant_(std::move(variant))
+        : variant_(std::move(variant)), ttc_(variant_ == "TTC")
     {
     }
 
@@ -50,7 +50,7 @@ class GcWorkload : public GraphWorkloadBase
         d_color_.fill(kInf);
         d_tentative_.fill(kInf);
         stamp_.assign(v, 0);
-        if (variant_ == "TTC") {
+        if (ttc_) {
             // Topological order: vertices in BFS-traversal order from
             // the high-degree source (unreached vertices appended in id
             // order), as a topological-thread-centric kernel would
@@ -132,22 +132,43 @@ class GcWorkload : public GraphWorkloadBase
     VertexId
     ownedVertex(std::uint32_t tid) const
     {
-        return variant_ == "TTC" ? d_order_[tid] : tid;
+        return ttc_ ? d_order_[tid] : tid;
     }
 
     /** The extra load address for the TTC indirection, if any. */
     void
     appendOwnerLoads(std::uint32_t tid, LaneVec *a) const
     {
-        if (variant_ == "TTC")
+        if (ttc_)
             a->push_back(d_order_.addr(tid));
+    }
+
+    /**
+     * Smallest colour >= @p from held by no neighbour of @p v. It reads
+     * d_color_ functionally: the assign kernel never writes d_color_,
+     * so this sees the colours the timed neighbour scan loaded.
+     */
+    std::uint32_t
+    smallestFreeColor(VertexId v, std::uint32_t from) const
+    {
+        const auto &row = graph_->rowOffsets();
+        for (std::uint32_t base = from;; base += 64) {
+            std::uint64_t mask = 0;
+            for (std::uint64_t e = row[v]; e < row[v + 1]; ++e) {
+                const std::uint32_t c = d_color_[d_col_[e]];
+                if (c != kInf && c >= base && c - base < 64)
+                    mask |= std::uint64_t{1} << (c - base);
+            }
+            if (mask != ~std::uint64_t{0})
+                return base + std::countr_one(mask);
+        }
     }
 
     static WarpProgram
     assignWarp(WarpCtx ctx, GcWorkload *self, std::uint32_t round)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        PerLane<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t tid = ctx.globalThread(lane);
@@ -160,9 +181,9 @@ class GcWorkload : public GraphWorkloadBase
         }
         if (owned.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<VertexId> active;
+        PerLane<VertexId> active;
         for (VertexId v : owned) {
             if (self->d_color_[v] == kInf)
                 active.push_back(v);
@@ -170,24 +191,25 @@ class GcWorkload : public GraphWorkloadBase
         if (active.empty())
             co_return;
 
-        a = {};
+        a.clear();
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
         // Divergent lockstep neighbour scan gathering used colors.
-        std::vector<std::uint64_t> pos, end;
-        std::vector<std::unordered_set<std::uint32_t>> used(
-            active.size());
+        PerLane<std::uint64_t> pos, end;
+        // Bit c of used[i]: a neighbour of active[i] holds colour c < 64.
+        // Past 64 colours, smallestFreeColor() rescans the neighbours.
+        PerLane<std::uint64_t> used(active.size(), 0);
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            PerLane<std::size_t> who;
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -196,28 +218,30 @@ class GcWorkload : public GraphWorkloadBase
             }
             if (who.empty())
                 break;
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec ca;
-            std::vector<std::pair<std::size_t, VertexId>> nbrs;
+            PerLane<std::pair<std::size_t, VertexId>> nbrs;
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
-                nbrs.emplace_back(i, nb);
+                nbrs.push_back({i, nb});
                 ca.push_back(self->d_color_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(ca));
+            co_yield WarpOp::load(ca);
             for (const auto &[i, nb] : nbrs) {
-                if (self->d_color_[nb] != kInf)
-                    used[i].insert(self->d_color_[nb]);
+                const std::uint32_t c = self->d_color_[nb];
+                if (c < 64)
+                    used[i] |= std::uint64_t{1} << c;
             }
         }
 
         LaneVec sa;
         for (std::size_t i = 0; i < active.size(); ++i) {
-            std::uint32_t c = 0;
-            while (used[i].count(c))
-                ++c;
+            const std::uint32_t c =
+                used[i] == ~std::uint64_t{0}
+                    ? self->smallestFreeColor(active[i], 64)
+                    : std::countr_one(used[i]);
             self->d_tentative_[active[i]] = c;
             // Round stamp (bookkeeping the hardware would keep in the
             // tentative word itself): lets the resolve phase decide
@@ -225,14 +249,14 @@ class GcWorkload : public GraphWorkloadBase
             self->stamp_[active[i]] = round + 1;
             sa.push_back(self->d_tentative_.addr(active[i]));
         }
-        co_yield WarpOp::store(std::move(sa));
+        co_yield WarpOp::store(sa);
     }
 
     static WarpProgram
     resolveWarp(WarpCtx ctx, GcWorkload *self, std::uint32_t round)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        PerLane<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t tid = ctx.globalThread(lane);
@@ -246,9 +270,9 @@ class GcWorkload : public GraphWorkloadBase
         }
         if (owned.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<VertexId> active;
+        PerLane<VertexId> active;
         for (VertexId v : owned) {
             if (self->d_color_[v] == kInf)
                 active.push_back(v);
@@ -256,22 +280,22 @@ class GcWorkload : public GraphWorkloadBase
         if (active.empty())
             co_return;
 
-        a = {};
+        a.clear();
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<std::uint64_t> pos, end;
-        std::vector<bool> loses(active.size(), false);
+        PerLane<std::uint64_t> pos, end;
+        PerLane<bool> loses(active.size(), false);
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            PerLane<std::size_t> who;
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -280,18 +304,18 @@ class GcWorkload : public GraphWorkloadBase
             }
             if (who.empty())
                 break;
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec ta;
-            std::vector<std::pair<std::size_t, VertexId>> nbrs;
+            PerLane<std::pair<std::size_t, VertexId>> nbrs;
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
-                nbrs.emplace_back(i, nb);
+                nbrs.push_back({i, nb});
                 ta.push_back(self->d_color_.addr(nb));
                 ta.push_back(self->d_tentative_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(ta));
+            co_yield WarpOp::load(ta);
             for (const auto &[i, nb] : nbrs) {
                 const VertexId v = active[i];
                 // Conflict iff the neighbour also speculated in this
@@ -317,11 +341,12 @@ class GcWorkload : public GraphWorkloadBase
             }
         }
         if (!sa.empty())
-            co_yield WarpOp::store(std::move(sa));
+            co_yield WarpOp::store(sa);
     }
 
   private:
     std::string variant_;
+    bool ttc_; //!< TTC indirection through d_order_
     DeviceArray<std::uint32_t> d_color_;
     DeviceArray<std::uint32_t> d_tentative_;
     DeviceArray<VertexId> d_order_;

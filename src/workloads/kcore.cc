@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -95,7 +94,7 @@ class KcoreWorkload : public GraphWorkloadBase
     peelWarp(WarpCtx ctx, KcoreWorkload *self, std::uint32_t k)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        PerLane<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const VertexId v = ctx.globalThread(lane);
@@ -107,9 +106,9 @@ class KcoreWorkload : public GraphWorkloadBase
         }
         if (owned.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
-        std::vector<VertexId> removing;
+        PerLane<VertexId> removing;
         for (VertexId v : owned) {
             if (self->d_core_[v] == kInf && self->d_degree_[v] <= k)
                 removing.push_back(v);
@@ -124,24 +123,24 @@ class KcoreWorkload : public GraphWorkloadBase
             self->changed_ = true;
             sa.push_back(self->d_core_.addr(v));
         }
-        co_yield WarpOp::store(std::move(sa));
+        co_yield WarpOp::store(sa);
 
-        a = {};
+        a.clear();
         for (VertexId v : removing) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
         // Lockstep divergent walk decrementing neighbour degrees.
-        std::vector<std::uint64_t> pos, end;
+        PerLane<std::uint64_t> pos, end;
         for (VertexId v : removing) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            PerLane<std::size_t> who;
             for (std::size_t i = 0; i < removing.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -150,10 +149,10 @@ class KcoreWorkload : public GraphWorkloadBase
             }
             if (who.empty())
                 break;
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec da;
-            std::vector<VertexId> nbrs;
+            PerLane<VertexId> nbrs;
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
@@ -161,7 +160,7 @@ class KcoreWorkload : public GraphWorkloadBase
                 da.push_back(self->d_core_.addr(nb));
                 da.push_back(self->d_degree_.addr(nb));
             }
-            co_yield WarpOp::load(std::move(da));
+            co_yield WarpOp::load(da);
 
             LaneVec ua;
             for (VertexId nb : nbrs) {
@@ -172,7 +171,7 @@ class KcoreWorkload : public GraphWorkloadBase
                 }
             }
             if (!ua.empty())
-                co_yield WarpOp::atomic(std::move(ua));
+                co_yield WarpOp::atomic(ua);
         }
     }
 

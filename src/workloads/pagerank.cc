@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -89,7 +88,7 @@ class PageRankWorkload : public GraphWorkloadBase
     contribWarp(WarpCtx ctx, PageRankWorkload *self)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        PerLane<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const VertexId v = ctx.globalThread(lane);
@@ -102,7 +101,7 @@ class PageRankWorkload : public GraphWorkloadBase
         }
         if (owned.empty())
             co_return;
-        co_yield WarpOp::load(std::move(a));
+        co_yield WarpOp::load(a);
 
         LaneVec sa;
         for (VertexId v : owned) {
@@ -112,7 +111,7 @@ class PageRankWorkload : public GraphWorkloadBase
                          : self->d_rank_[v] / static_cast<double>(deg);
             sa.push_back(self->d_contrib_.addr(v));
         }
-        co_yield WarpOp::store(std::move(sa));
+        co_yield WarpOp::store(sa);
     }
 
     /** Kernel 2: rank[v] = (1-d)/N + d * sum contrib[neighbours]. */
@@ -136,14 +135,14 @@ class PageRankWorkload : public GraphWorkloadBase
             LaneVec ea;
             for (std::uint64_t i = 0; i < chunk; ++i)
                 ea.push_back(self->d_col_.addr(e + i));
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec ca;
             for (std::uint64_t i = 0; i < chunk; ++i) {
                 ca.push_back(
                     self->d_contrib_.addr(self->d_col_[e + i]));
             }
-            co_yield WarpOp::load(std::move(ca));
+            co_yield WarpOp::load(ca);
             for (std::uint64_t i = 0; i < chunk; ++i)
                 sum += self->d_contrib_[self->d_col_[e + i]];
         }

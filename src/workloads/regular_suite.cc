@@ -169,7 +169,7 @@ class RegularWorkload : public Workload
 
         for (std::size_t step_i = 0; step_i < per_thread; ++step_i) {
             LaneVec la;
-            std::vector<std::size_t> idxs;
+            PerLane<std::size_t> idxs;
             for (std::uint32_t lane = 0; lane < ctx.laneCount();
                  ++lane) {
                 const std::size_t local =
@@ -188,7 +188,7 @@ class RegularWorkload : public Workload
             }
             if (idxs.empty())
                 co_return;
-            co_yield WarpOp::load(std::move(la));
+            co_yield WarpOp::load(la);
             if (self->spec_.compute_cycles > 0)
                 co_yield WarpOp::compute(self->spec_.compute_cycles);
 
@@ -200,7 +200,7 @@ class RegularWorkload : public Workload
                 out[i] = step(in[i], in[j]);
                 sa.push_back(out.addr(i));
             }
-            co_yield WarpOp::store(std::move(sa));
+            co_yield WarpOp::store(sa);
         }
     }
 

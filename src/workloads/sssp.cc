@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -112,12 +111,12 @@ class SsspWorkload : public GraphWorkloadBase
                 ea.push_back(self->d_col_.addr(e + i));
                 ea.push_back(self->d_weight_.addr(e + i));
             }
-            co_yield WarpOp::load(std::move(ea));
+            co_yield WarpOp::load(ea);
 
             LaneVec da;
             for (std::uint64_t i = 0; i < chunk; ++i)
                 da.push_back(self->d_dist_.addr(self->d_col_[e + i]));
-            co_yield WarpOp::load(std::move(da));
+            co_yield WarpOp::load(da);
 
             LaneVec ua;
             for (std::uint64_t i = 0; i < chunk; ++i) {
@@ -135,7 +134,7 @@ class SsspWorkload : public GraphWorkloadBase
                 }
             }
             if (!ua.empty())
-                co_yield WarpOp::atomic(std::move(ua));
+                co_yield WarpOp::atomic(ua);
         }
     }
 

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/check/model_auditor.h"
@@ -633,6 +634,39 @@ TEST(BenchArgsAudit, NonDigitIntegerValuesFail)
             testing::internal::GetCapturedStderr();
         }
     }
+}
+
+TEST(BenchArgsAudit, BadRealValuesFail)
+{
+    // std::stod alone would read "0.5x" as 0.5 and accept "nan" and
+    // "inf"; a NaN or negative --ratio would silently mean unlimited
+    // memory, and a NaN --timeout passes a "< 0" check.
+    const std::pair<const char *, const char *> cases[] = {
+        {"--ratio", "0.5x"}, {"--ratio", "nan"},   {"--ratio", "-1"},
+        {"--ratio", "inf"},  {"--ratio", ""},      {"--timeout", "0.5x"},
+        {"--timeout", "nan"}, {"--timeout", "inf"}, {"--timeout", "-1"},
+    };
+    for (const auto &[flag, value] : cases) {
+        SCOPED_TRACE(std::string(flag) + " '" + value + "'");
+        const char *argv[] = {"prog", flag, value};
+        testing::internal::CaptureStderr();
+        {
+            ScopedAbortCapture capture;
+            try {
+                parseBenchArgs(3, const_cast<char **>(argv));
+                ADD_FAILURE() << "bad real value must not parse";
+            } catch (const SimAbort &e) {
+                EXPECT_FALSE(e.isPanic()); // fatal(): exits non-zero
+            }
+        }
+        testing::internal::GetCapturedStderr();
+    }
+
+    // Well-formed values still parse, including an unlimited ratio.
+    const char *argv[] = {"prog", "--ratio", "0", "--timeout", "2.5"};
+    const BenchOptions opt = parseBenchArgs(5, const_cast<char **>(argv));
+    EXPECT_EQ(opt.ratio, 0.0);
+    EXPECT_EQ(opt.timeout_s, 2.5);
 }
 
 // ---- workload registry ---------------------------------------------

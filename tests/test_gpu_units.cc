@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/gpu/coalescer.h"
 #include "src/gpu/occupancy.h"
 #include "src/gpu/warp_program.h"
@@ -138,6 +140,80 @@ TEST(WarpProgram, GeneratorYieldsOpsInOrder)
     EXPECT_FALSE(p.advance());
 }
 
+// A memory op is a view of addresses the kernel owns; it must stay a
+// small value the promise can store without copying any address.
+static_assert(sizeof(WarpOp) <= 32);
+
+/** Yields through every kind of address owner a kernel uses. */
+WarpProgram
+addressOwners(WarpCtx)
+{
+    LaneVec local; // frame local, inline storage
+    for (VAddr i = 0; i < 3; ++i)
+        local.push_back(0x1000 + i * 8);
+    co_yield WarpOp::load(local);
+
+    LaneVec spilled; // frame local past its inline capacity
+    for (VAddr i = 0; i < 2 * LaneVec::kInline; ++i)
+        spilled.push_back(0x2000 + i * 4);
+    co_yield WarpOp::store(spilled);
+
+    co_yield loadOf(VAddr{0x3000}, VAddr{0x3008}, VAddr{0x3010});
+
+    std::vector<VAddr> vec; // the std::vector overload
+    vec.push_back(0x4000);
+    vec.push_back(0x4100);
+    co_yield WarpOp::atomic(vec);
+
+    co_yield storeOf(VAddr{0x5000});
+}
+
+/** Overwrites a stretch of the caller's stack below it, so an address
+ *  list left on the stack of the resume call would read back wrong. */
+[[gnu::noinline]] VAddr
+clobberStack()
+{
+    volatile VAddr junk[4096];
+    for (std::size_t i = 0; i < 4096; ++i)
+        junk[i] = ~static_cast<VAddr>(i);
+    return junk[4095];
+}
+
+TEST(WarpProgram, YieldedAddressesStayValidUntilResume)
+{
+    auto expect_op = [](const WarpProgram &p, WarpOp::Kind kind,
+                        VAddr base, VAddr stride, std::size_t n) {
+        const WarpOp &op = p.current();
+        EXPECT_EQ(op.kind, kind);
+        ASSERT_EQ(op.addrs.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(op.addrs[i], base + i * stride) << "lane " << i;
+    };
+
+    WarpProgram p = addressOwners(WarpCtx{});
+    ASSERT_TRUE(p.advance());
+    EXPECT_EQ(clobberStack(), ~VAddr{4095});
+    expect_op(p, WarpOp::Kind::Load, 0x1000, 8, 3);
+
+    ASSERT_TRUE(p.advance());
+    EXPECT_EQ(clobberStack(), ~VAddr{4095});
+    expect_op(p, WarpOp::Kind::Store, 0x2000, 4, 2 * LaneVec::kInline);
+
+    ASSERT_TRUE(p.advance());
+    EXPECT_EQ(clobberStack(), ~VAddr{4095});
+    expect_op(p, WarpOp::Kind::Load, 0x3000, 8, 3);
+
+    ASSERT_TRUE(p.advance());
+    EXPECT_EQ(clobberStack(), ~VAddr{4095});
+    expect_op(p, WarpOp::Kind::Atomic, 0x4000, 0x100, 2);
+
+    ASSERT_TRUE(p.advance());
+    EXPECT_EQ(clobberStack(), ~VAddr{4095});
+    expect_op(p, WarpOp::Kind::Store, 0x5000, 0, 1);
+
+    EXPECT_FALSE(p.advance());
+}
+
 TEST(WarpProgram, MoveTransfersOwnership)
 {
     WarpProgram p = threeOps(WarpCtx{});
@@ -166,9 +242,9 @@ TEST(WarpProgram, LaneHelpers)
 
 TEST(WarpOp, KindPredicates)
 {
-    EXPECT_TRUE(WarpOp::load(LaneVec{}).isMemory());
-    EXPECT_TRUE(WarpOp::store(LaneVec{}).isMemory());
-    EXPECT_TRUE(WarpOp::atomic(LaneVec{}).isMemory());
+    EXPECT_TRUE(WarpOp::load({}).isMemory());
+    EXPECT_TRUE(WarpOp::store({}).isMemory());
+    EXPECT_TRUE(WarpOp::atomic({}).isMemory());
     EXPECT_FALSE(WarpOp::compute(1).isMemory());
     EXPECT_FALSE(WarpOp::sync().isMemory());
 }

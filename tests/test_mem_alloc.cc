@@ -4,7 +4,9 @@
  * allocations: a counting global operator new/delete is toggled around
  * a self-sustaining fault/prefetch/migrate/evict loop once the dense
  * page-metadata table, the waiter slab, the batch scratch vectors and
- * the batch-record vector's capacity are warm. Lives in its own binary
+ * the batch-record vector's capacity are warm. The same hook proves
+ * that stepping the shipped warp kernels allocates nothing once their
+ * coroutine frames exist. Lives in its own binary
  * so the global hook cannot perturb (or be perturbed by) the main test
  * suite.
  */
@@ -13,14 +15,18 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/mem/memory_hierarchy.h"
 #include "src/mem/slot_queue.h"
 #include "src/sim/event_queue.h"
 #include "src/uvm/gpu_memory_manager.h"
 #include "src/uvm/uvm_runtime.h"
+#include "src/workloads/workload_registry.h"
 
 namespace
 {
@@ -42,6 +48,23 @@ void *
 operator new[](std::size_t n)
 {
     return operator new(n);
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer) must come
+// from malloc too: their memory is released through the replaced
+// operator delete, which calls free.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    if (g_counting.load(std::memory_order_relaxed))
+        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return operator new(n, tag);
 }
 
 void
@@ -273,6 +296,64 @@ TEST(MemAlloc, SpecializedNonePathIsAllocationFreeOnTwoThreads)
         << "no-observer steady state must not allocate on either "
            "worker";
     EXPECT_EQ(UvmRuntime::WakeFn::heapFallbacks(), fallbacks_before);
+}
+
+/**
+ * Every step of a shipped warp kernel must be allocation-free: the
+ * kernels keep their per-lane scratch in inline small vectors, and a
+ * WarpOp only views the addresses they own. Coroutine frames are
+ * allocated when a program is created, which happens before counting
+ * starts. The first two kernels of each workload run; all warps of a
+ * kernel are stepped round-robin, as the SMs interleave them.
+ */
+TEST(MemAlloc, WarpKernelStepsAreAllocationFree)
+{
+    for (const char *name : {"PR", "KCORE", "BFS-TF", "GC-DTC"}) {
+        SCOPED_TRACE(name);
+        std::unique_ptr<Workload> w =
+            WorkloadRegistry::instance().create(name);
+        w->build(WorkloadScale::Tiny, 1);
+        for (int k = 0; k < 2; ++k) {
+            KernelInfo kernel;
+            ASSERT_TRUE(w->nextKernel(&kernel));
+            const std::uint32_t wpb = kernel.warpsPerBlock(32);
+            std::vector<WarpProgram> progs;
+            progs.reserve(std::size_t{kernel.num_blocks} * wpb);
+            for (std::uint32_t b = 0; b < kernel.num_blocks; ++b) {
+                for (std::uint32_t warp = 0; warp < wpb; ++warp) {
+                    WarpCtx ctx;
+                    ctx.block_id = b;
+                    ctx.warp_in_block = warp;
+                    ctx.threads_per_block = kernel.threads_per_block;
+                    ctx.num_blocks = kernel.num_blocks;
+                    progs.push_back(kernel.make_program(ctx));
+                }
+            }
+            std::vector<char> alive(progs.size(), 1);
+
+            std::uint64_t ops = 0;
+            g_allocs.store(0);
+            g_counting.store(true);
+            for (bool progress = true; progress;) {
+                progress = false;
+                for (std::size_t i = 0; i < progs.size(); ++i) {
+                    if (!alive[i])
+                        continue;
+                    if (progs[i].advance()) {
+                        ++ops;
+                        progress = true;
+                    } else {
+                        alive[i] = 0;
+                    }
+                }
+            }
+            g_counting.store(false);
+
+            EXPECT_GE(ops, progs.size()) << kernel.name;
+            EXPECT_EQ(g_allocs.load(), 0u)
+                << kernel.name << ": a kernel step allocated";
+        }
+    }
 }
 
 } // namespace
