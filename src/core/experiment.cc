@@ -50,7 +50,28 @@ printBenchUsage(std::FILE *out)
         "               free-for-all)\n");
 }
 
+/** Parses @p token whole as a run option's real value (see
+ *  validRunReal()): std::stod alone reads "0.5x" as 0.5 and accepts
+ *  "nan" and "inf". */
+bool
+parseRunReal(const std::string &token, double *out)
+{
+    std::size_t used = 0;
+    try {
+        *out = std::stod(token, &used);
+    } catch (const std::exception &) {
+        return false;
+    }
+    return used == token.size() && validRunReal(*out);
+}
+
 } // namespace
+
+bool
+validRunReal(double value)
+{
+    return std::isfinite(value) && value >= 0.0;
+}
 
 void
 BenchOptions::applyTo(SimConfig &config) const
@@ -83,19 +104,13 @@ parseBenchArgs(int argc, char **argv)
                 fatal("invalid value '%s' for %s", v.c_str(), what);
             }
         };
-        auto next_f64 = [&](const char *what) -> double {
+        auto next_real = [&](const char *what) -> double {
             const std::string v = next(what);
-            // The whole token must parse to a finite number: std::stod
-            // alone reads "0.5x" as 0.5 and accepts "nan" and "inf".
-            std::size_t used = 0;
             double d = 0.0;
-            try {
-                d = std::stod(v, &used);
-            } catch (const std::exception &) {
-                fatal("invalid value '%s' for %s", v.c_str(), what);
-            }
-            if (used != v.size() || !std::isfinite(d))
-                fatal("invalid value '%s' for %s", v.c_str(), what);
+            if (!parseRunReal(v, &d))
+                fatal("invalid value '%s' for %s: must be a finite "
+                      "number >= 0",
+                      v.c_str(), what);
             return d;
         };
         if (arg == "--csv") {
@@ -115,11 +130,7 @@ parseBenchArgs(int argc, char **argv)
             else
                 fatal("unknown scale '%s'", v.c_str());
         } else if (arg == "--ratio") {
-            opt.ratio = next_f64("--ratio");
-            if (opt.ratio < 0.0)
-                fatal("invalid value '%s' for --ratio: must be >= 0 "
-                      "(0 = unlimited memory)",
-                      argv[i]);
+            opt.ratio = next_real("--ratio"); // 0 = unlimited memory
         } else if (arg == "--seed") {
             opt.seed = next_u64("--seed");
         } else if (arg == "--jobs") {
@@ -131,9 +142,7 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--json") {
             opt.json_path = next("--json");
         } else if (arg == "--timeout") {
-            opt.timeout_s = next_f64("--timeout");
-            if (opt.timeout_s < 0.0)
-                fatal("--timeout must be >= 0");
+            opt.timeout_s = next_real("--timeout");
         } else if (arg == "--trace") {
             opt.trace_dir = "traces";
         } else if (arg.rfind("--trace=", 0) == 0) {
@@ -175,17 +184,11 @@ parseBenchArgs(int argc, char **argv)
                     TenantSpec t;
                     const std::size_t colon = item.find(':');
                     t.workload = item.substr(0, colon);
-                    if (colon != std::string::npos) {
-                        try {
-                            t.quota = std::stod(item.substr(colon + 1));
-                        } catch (const std::exception &) {
-                            fatal("--tenants: invalid quota in '%s'",
-                                  item.c_str());
-                        }
-                        if (t.quota < 0.0)
-                            fatal("--tenants: negative quota in '%s'",
-                                  item.c_str());
-                    }
+                    if (colon != std::string::npos &&
+                        !parseRunReal(item.substr(colon + 1), &t.quota))
+                        fatal("--tenants: invalid quota in '%s': must "
+                              "be a finite number >= 0",
+                              item.c_str());
                     if (!WorkloadRegistry::instance().contains(
                             t.workload)) {
                         fatal("--tenants: unknown workload '%s'",

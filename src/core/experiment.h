@@ -91,6 +91,13 @@ struct BenchOptions {
  */
 BenchOptions parseBenchArgs(int argc, char **argv);
 
+/**
+ * The domain of every real-valued run option: memory ratio, tenant
+ * quota and timeouts must be finite and >= 0. The CLI, sweep requests
+ * and worker frames all refuse a value outside it (NaN included).
+ */
+bool validRunReal(double value);
+
 /** Lower-case scale name ("tiny" ... "large") as --scale accepts it. */
 std::string scaleName(WorkloadScale scale);
 

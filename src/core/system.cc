@@ -223,8 +223,8 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
 
     double quota_sum = 0.0;
     for (const TenantSpec &spec : specs) {
-        if (spec.quota < 0.0)
-            fatal("GpuUvmSystem: negative tenant quota");
+        if (!std::isfinite(spec.quota) || spec.quota < 0.0)
+            fatal("GpuUvmSystem: tenant quota must be finite and >= 0");
         quota_sum += spec.quota;
     }
     for (std::uint32_t i = 0; i < n; ++i) {

@@ -100,6 +100,9 @@ parseCellSpec(const JsonValue &v, CellSpec *out, std::string *error)
         return failParse(error,
                          "cell spec: unknown scale '" + scale + "'");
     out->ratio = v.getDouble("ratio", 0.5);
+    if (!validRunReal(out->ratio))
+        return failParse(error,
+                         "cell spec: ratio must be a finite number >= 0");
     out->base_seed = v.getU64("seed", 1);
     out->audit = v.getBool("audit", false);
     if (const JsonValue *overrides = v.find("overrides")) {
@@ -130,6 +133,10 @@ parseCellSpec(const JsonValue &v, CellSpec *out, std::string *error)
                 return failParse(
                     error, "cell spec: tenant without workload");
             spec.quota = t.getDouble("quota", 0.0);
+            if (!validRunReal(spec.quota))
+                return failParse(error,
+                                 "cell spec: tenant quota must be a "
+                                 "finite number >= 0");
             spec.scale = out->scale; // tenants share the cell scale
             out->tenants.push_back(std::move(spec));
         }

@@ -328,7 +328,9 @@ JsonValue::asU64(std::uint64_t fallback) const
         if (errno == 0)
             return v;
     }
-    return num_ < 0.0 ? fallback : static_cast<std::uint64_t>(num_);
+    // Out of range (NaN included): a cast would be undefined.
+    return num_ >= 0.0 && num_ < 0x1p64 ? static_cast<std::uint64_t>(num_)
+                                        : fallback;
 }
 
 std::int64_t
@@ -344,7 +346,8 @@ JsonValue::asI64(std::int64_t fallback) const
         if (errno == 0)
             return v;
     }
-    return static_cast<std::int64_t>(num_);
+    return num_ >= -0x1p63 && num_ < 0x1p63 ? static_cast<std::int64_t>(num_)
+                                            : fallback;
 }
 
 const std::string &

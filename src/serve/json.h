@@ -50,7 +50,8 @@ class JsonValue
     bool asBool(bool fallback = false) const;
     double asDouble(double fallback = 0.0) const;
     /** Exact when the token is a plain unsigned integer; otherwise
-     *  falls back to truncating the double value. */
+     *  truncates the double value, or returns @p fallback when it is
+     *  out of the type's range. asI64() likewise. */
     std::uint64_t asU64(std::uint64_t fallback = 0) const;
     std::int64_t asI64(std::int64_t fallback = 0) const;
     const std::string &asString() const; //!< "" unless isString()

@@ -153,6 +153,9 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
         return failParse(
             error, "sweep request: unknown scale '" + scale + "'");
     out->ratio = v.getDouble("ratio", 0.5);
+    if (!validRunReal(out->ratio))
+        return failParse(error, "sweep request: ratio must be a finite "
+                                "number >= 0");
     out->seed = v.getU64("seed", 1);
     out->audit = v.getBool("audit", false);
     if (const JsonValue *tenants = v.find("tenants")) {
@@ -171,9 +174,10 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
                                  "workload '" +
                                      spec.workload + "'");
             spec.quota = t.getDouble("quota", 0.0);
-            if (spec.quota < 0.0)
-                return failParse(
-                    error, "sweep request: negative tenant quota");
+            if (!validRunReal(spec.quota))
+                return failParse(error,
+                                 "sweep request: tenant quota must be a "
+                                 "finite number >= 0");
             spec.scale = out->scale;
             out->tenants.push_back(std::move(spec));
         }
@@ -196,9 +200,10 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
     }
     out->timeout_s = v.getDouble("timeout_s", 0.0);
     out->hard_timeout_s = v.getDouble("hard_timeout_s", 0.0);
-    if (out->timeout_s < 0.0 || out->hard_timeout_s < 0.0)
-        return failParse(error,
-                         "sweep request: negative timeout");
+    if (!validRunReal(out->timeout_s) ||
+        !validRunReal(out->hard_timeout_s))
+        return failParse(error, "sweep request: timeouts must be finite "
+                                "numbers >= 0");
     out->jobs = static_cast<std::size_t>(v.getU64("jobs", 1));
     if (out->jobs == 0)
         out->jobs = 1;

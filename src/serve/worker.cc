@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/experiment.h"
 #include "src/runner/cell_spec.h"
 #include "src/runner/json_writer.h"
 #include "src/runner/sweep_result.h"
@@ -103,6 +104,11 @@ runWorkerLoop(int in_fd, int out_fd, const WorkerOptions &opt)
         }
         const double soft_timeout_s =
             frame.getDouble("soft_timeout_s", opt.soft_timeout_s);
+        if (!validRunReal(soft_timeout_s)) {
+            warn("sweep worker: soft_timeout_s must be a finite "
+                 "number >= 0");
+            return 1;
+        }
         std::size_t flush_cells = static_cast<std::size_t>(frame.getU64(
             "flush_cells",
             static_cast<std::uint64_t>(opt.flush_cells)));

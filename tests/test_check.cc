@@ -640,11 +640,16 @@ TEST(BenchArgsAudit, BadRealValuesFail)
 {
     // std::stod alone would read "0.5x" as 0.5 and accept "nan" and
     // "inf"; a NaN or negative --ratio would silently mean unlimited
-    // memory, and a NaN --timeout passes a "< 0" check.
+    // memory, a NaN --timeout passes a "< 0" check, and a NaN tenant
+    // quota becomes a garbage page budget.
     const std::pair<const char *, const char *> cases[] = {
         {"--ratio", "0.5x"}, {"--ratio", "nan"},   {"--ratio", "-1"},
         {"--ratio", "inf"},  {"--ratio", ""},      {"--timeout", "0.5x"},
         {"--timeout", "nan"}, {"--timeout", "inf"}, {"--timeout", "-1"},
+        {"--tenants", "BFS-HYB:0.5x,PR:0.5"},
+        {"--tenants", "BFS-HYB:nan,PR:0.5"},
+        {"--tenants", "BFS-HYB:inf,PR:0.5"},
+        {"--tenants", "BFS-HYB:-1,PR:0.5"},
     };
     for (const auto &[flag, value] : cases) {
         SCOPED_TRACE(std::string(flag) + " '" + value + "'");

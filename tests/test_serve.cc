@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/experiment.h"
 #include "src/core/presets.h"
 #include "src/graph/stream/csr_stream_builder.h"
 #include "src/runner/cell_spec.h"
@@ -34,6 +35,8 @@
 #include "src/serve/result_cache.h"
 #include "src/serve/sweep_request.h"
 #include "src/serve/sweep_service.h"
+#include "src/sim/log.h"
+#include "src/sim/rng.h"
 
 namespace bauvm
 {
@@ -578,6 +581,35 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
         parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
                    " \"workloads\": []}"),
         &req, &error));
+
+    // Out of the run-option domain (validRunReal): a negative ratio
+    // once ran at unlimited memory, an overflowing one exported a null
+    // ratio, and an infinite quota became a NaN share cast to a page
+    // budget.
+    const char *out_of_domain[] = {
+        "{\"schema\": \"bauvm.sweep-request/1\","
+        " \"workloads\": [\"PR\"], \"ratio\": -1}",
+        "{\"schema\": \"bauvm.sweep-request/1\","
+        " \"workloads\": [\"PR\"], \"ratio\": 1e999}",
+        "{\"schema\": \"bauvm.sweep-request/1\","
+        " \"workloads\": [\"BFS-HYB+PR\"],"
+        " \"tenants\": [{\"workload\": \"BFS-HYB\", \"quota\": 1e999},"
+        " {\"workload\": \"PR\", \"quota\": 0.5}]}",
+    };
+    for (const char *doc : out_of_domain) {
+        error.clear();
+        EXPECT_FALSE(parseSweepRequest(parseOrDie(doc), &req, &error))
+            << doc;
+        EXPECT_NE(error.find("finite"), std::string::npos) << error;
+    }
+
+    // A worker frame's cell spec obeys the same rule.
+    CellSpec spec;
+    error.clear();
+    EXPECT_FALSE(parseCellSpec(
+        parseOrDie("{\"workload\": \"PR\", \"ratio\": -0.5}"), &spec,
+        &error));
+    EXPECT_NE(error.find("finite"), std::string::npos) << error;
 }
 
 TEST(SweepRequestParse, RejectsOutOfDomainOverrideValues)
@@ -634,6 +666,183 @@ TEST(SweepRequestParse, RejectsOutOfDomainOverrideValues)
                                     &error));
     EXPECT_EQ(config.mem.walker_threads, 1u);
     EXPECT_TRUE(applyConfigOverride(config, "memory_ratio", -1, &error));
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation fuzzing of the input parsers
+// ---------------------------------------------------------------------
+
+/** Tokens spliced in by mutate(): domain edges and structural noise. */
+const char *const kFuzzTokens[] = {
+    "-1", "1e999", "-1e999", "1e30", "0", "-0", "nan", "null", "true",
+    "\"\"", "[]", "{}", "[[", "{\"", "\\u0000", ",", ":", "\"@all\"",
+};
+
+/**
+ * One random edit of @p seed: flip 1-4 bytes, truncate, splice in a
+ * slice of the seed itself, or splice in one of kFuzzTokens.
+ */
+std::string
+mutate(const std::string &seed, Rng &rng)
+{
+    std::string s = seed;
+    switch (rng.nextBelow(4)) {
+      case 0:
+        for (std::uint64_t n = 1 + rng.nextBelow(4); n > 0; --n)
+            s[rng.nextBelow(s.size())] ^=
+                static_cast<char>(1 + rng.nextBelow(255));
+        break;
+      case 1:
+        s.resize(rng.nextBelow(s.size()));
+        break;
+      case 2: {
+        const std::size_t from = rng.nextBelow(seed.size());
+        const std::size_t len = 1 + rng.nextBelow(seed.size() - from);
+        const std::size_t at = rng.nextBelow(s.size() + 1);
+        s.replace(at, rng.nextBelow(s.size() - at + 1),
+                  seed.substr(from, len));
+        break;
+      }
+      default: {
+        // Swap the next number for a token, so the document parsers'
+        // domain checks see edge values and not only JSON grammar
+        // errors; past the last number, insert at a random point.
+        const char *token = kFuzzTokens[rng.nextBelow(
+            sizeof kFuzzTokens / sizeof kFuzzTokens[0])];
+        std::size_t at =
+            s.find_first_of("0123456789", rng.nextBelow(s.size()));
+        std::size_t len = 0;
+        if (at == std::string::npos) {
+            at = rng.nextBelow(s.size() + 1);
+        } else {
+            const std::size_t end = s.find_first_not_of("0123456789.e+-", at);
+            len = (end == std::string::npos ? s.size() : end) - at;
+        }
+        s.replace(at, len, token);
+        break;
+      }
+    }
+    return s;
+}
+
+/**
+ * Feeds @p iterations mutations of @p seed through JsonValue::parse()
+ * and then @p parse. Neither may abort; a refusal must say why, and an
+ * accepted document must pass @p in_domain.
+ */
+template <typename Parse, typename InDomain>
+void
+fuzzParser(const char *what, const std::string &seed, Rng &rng,
+           int iterations, Parse parse, InDomain in_domain)
+{
+    {
+        JsonValue v;
+        std::string error;
+        ASSERT_TRUE(JsonValue::parse(seed, &v, &error)) << error;
+        ASSERT_TRUE(parse(v, &error)) << what << ": " << error;
+    }
+    int accepted = 0;
+    for (int i = 0; i < iterations; ++i) {
+        const std::string text = mutate(seed, rng);
+        SCOPED_TRACE(std::string(what) + " input: " + text);
+        ScopedAbortCapture capture;
+        try {
+            JsonValue v;
+            std::string error;
+            if (!JsonValue::parse(text, &v, &error)) {
+                EXPECT_FALSE(error.empty());
+                continue;
+            }
+            error.clear();
+            if (!parse(v, &error)) {
+                EXPECT_FALSE(error.empty());
+                continue;
+            }
+            ++accepted;
+            EXPECT_TRUE(in_domain());
+        } catch (const SimAbort &e) {
+            ADD_FAILURE() << "parser aborted: " << e.what();
+        }
+    }
+    // Some mutations (a flipped letter inside a label) stay valid, so
+    // the accepting path is exercised too.
+    EXPECT_GT(accepted, 0) << what;
+}
+
+TEST(ParserFuzz, SeededMutationsNeverAbortAndStayInDomain)
+{
+    // 3 x 1000 mutations from one fixed seed; well under a second.
+    Rng rng(0xf022);
+    constexpr int kIterations = 1000;
+
+    SweepRequest req;
+    fuzzParser(
+        "sweep request",
+        "{\"schema\": \"bauvm.sweep-request/1\", \"bench\": \"fz\","
+        " \"workloads\": [\"BFS-HYB+PR\"],"
+        " \"policies\": [\"BASELINE\", \"TO+UE\"],"
+        " \"variants\": [{\"label\": \"v\", \"overrides\":"
+        " [{\"key\": \"mem.walker_threads\", \"value\": 4}]}],"
+        " \"scale\": \"tiny\", \"ratio\": 0.5, \"seed\": 3,"
+        " \"tenants\": [{\"workload\": \"BFS-HYB\", \"quota\": 0.25},"
+        " {\"workload\": \"PR\", \"quota\": 0.75}],"
+        " \"share_policy\": \"strict\", \"timeout_s\": 10,"
+        " \"hard_timeout_s\": 20, \"jobs\": 2, \"chunk_cells\": 2}",
+        rng, kIterations,
+        [&](const JsonValue &v, std::string *error) {
+            return parseSweepRequest(v, &req, error);
+        },
+        [&] {
+            bool ok = validRunReal(req.ratio) &&
+                      validRunReal(req.timeout_s) &&
+                      validRunReal(req.hard_timeout_s);
+            for (const TenantSpec &t : req.tenants)
+                ok = ok && validRunReal(t.quota);
+            return ok;
+        });
+
+    // The cell spec a daemon -> worker "run" frame carries.
+    CellSpec spec;
+    spec.workload = "BFS-HYB+PR";
+    spec.policy = Policy::ToUe;
+    spec.variant = "v";
+    spec.overrides = {{"uvm.fault_buffer_entries", 512}};
+    spec.scale = WorkloadScale::Tiny;
+    spec.ratio = 0.75;
+    spec.base_seed = 9;
+    spec.tenants = {{"BFS-HYB", 0.5, WorkloadScale::Tiny},
+                    {"PR", 0.5, WorkloadScale::Tiny}};
+    JsonWriter spec_json(/*pretty=*/false);
+    writeCellSpec(spec_json, spec);
+    CellSpec parsed;
+    fuzzParser(
+        "cell spec", spec_json.str(), rng, kIterations,
+        [&](const JsonValue &v, std::string *error) {
+            return parseCellSpec(v, &parsed, error);
+        },
+        [&] {
+            bool ok = validRunReal(parsed.ratio);
+            for (const TenantSpec &t : parsed.tenants)
+                ok = ok && validRunReal(t.quota);
+            return ok;
+        });
+
+    // A cached cell outcome, batch records and tenant rows included.
+    CellOutcome outcome = fakeOutcome("BFS-HYB+PR", 4242);
+    outcome.result.batch_records = {{100, 110, 150, 7, 3, 1, 65536},
+                                    {200, 205, 260, 9, 0, 0, 4096}};
+    outcome.result.tenants.resize(2);
+    outcome.result.tenants[1].id = 1;
+    outcome.result.tenants[1].workload = "PR";
+    JsonWriter outcome_json(/*pretty=*/false);
+    writeCellJson(outcome_json, outcome, /*with_batch_records=*/true);
+    CellOutcome loaded;
+    fuzzParser(
+        "cell outcome", outcome_json.str(), rng, kIterations,
+        [&](const JsonValue &v, std::string *error) {
+            return parseCellOutcome(v, &loaded, error);
+        },
+        [] { return true; });
 }
 
 // ---------------------------------------------------------------------
