@@ -1,6 +1,5 @@
 #include "src/check/model_auditor.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -71,28 +70,11 @@ ModelAuditor::batchStateName(BatchState s)
 }
 
 std::string
-ModelAuditor::describe(const ShadowPage &p) const
+ModelAuditor::describe(std::uint8_t bits)
 {
-    return format("{resident=%d in_h2d=%d in_d2h=%d}", p.resident,
-                  p.in_h2d, p.in_d2h);
-}
-
-void
-ModelAuditor::compact(PageNum vpn)
-{
-    auto it = pages_.find(vpn);
-    if (it != pages_.end() && it->second.empty())
-        pages_.erase(it);
-}
-
-void
-ModelAuditor::check(bool ok, const char *invariant, PageNum vpn,
-                    const std::string &expected,
-                    const std::string &observed)
-{
-    ++checks_;
-    if (!ok)
-        fail(invariant, vpn, expected, observed);
+    return format("{resident=%d in_h2d=%d in_d2h=%d}",
+                  (bits & kResident) != 0, (bits & kInH2d) != 0,
+                  (bits & kInD2h) != 0);
 }
 
 void
@@ -128,16 +110,28 @@ ModelAuditor::fail(const char *invariant, PageNum vpn,
     panic("%s", msg.c_str());
 }
 
+void
+ModelAuditor::checkCommitted(PageNum vpn, std::uint64_t observed,
+                             const char *when)
+{
+    if (!holds(observed == committed_))
+        fail("occupancy-conservation", vpn,
+             format("manager status tracker == shadow %" PRIu64,
+                    committed_),
+             format("manager reports %" PRIu64 " committed frames%s",
+                    observed, when));
+}
+
 // ---- GpuMemoryManager sites ----------------------------------------
 
 void
 ModelAuditor::onCapacitySet(std::uint64_t capacity_pages)
 {
-    check(capacity_pages == 0 || capacity_pages >= committed_,
-          "occupancy-conservation", 0,
-          format("new capacity >= %" PRIu64 " committed frames",
-                 committed_),
-          format("capacity shrunk to %" PRIu64, capacity_pages));
+    if (!holds(capacity_pages == 0 || capacity_pages >= committed_))
+        fail("occupancy-conservation", 0,
+             format("new capacity >= %" PRIu64 " committed frames",
+                    committed_),
+             format("capacity shrunk to %" PRIu64, capacity_pages));
     capacity_pages_ = capacity_pages;
 }
 
@@ -154,177 +148,157 @@ ModelAuditor::onFrameReserved(std::uint64_t observed_committed,
 {
     if (capacity_pages_ != 0) {
         ++committed_;
-        check(committed_ <= capacity_pages_, "occupancy-conservation",
-              0,
-              format("committed frames <= capacity %" PRIu64,
-                     capacity_pages_),
-              format("reservation raised committed to %" PRIu64,
-                     committed_));
+        if (!holds(committed_ <= capacity_pages_))
+            fail("occupancy-conservation", 0,
+                 format("committed frames <= capacity %" PRIu64,
+                        capacity_pages_),
+                 format("reservation raised committed to %" PRIu64,
+                        committed_));
     }
-    check(observed_committed == committed_, "occupancy-conservation", 0,
-          format("manager status tracker == shadow %" PRIu64,
-                 committed_),
-          format("manager reports %" PRIu64 " committed frames",
-                 observed_committed));
+    checkCommitted(0, observed_committed, "");
     if (dir_ && tenant != kNoTenant) {
         ++committed_by_[tenant];
         if (dir_->policy() == SharePolicy::StrictQuota) {
             const std::uint64_t quota =
                 dir_->context(tenant).quota_pages;
-            check(committed_by_[tenant] <= quota, "tenant-quota",
-                  tenant,
-                  format("tenant %u committed frames <= quota %" PRIu64,
-                         static_cast<unsigned>(tenant), quota),
-                  format("reservation raised tenant frames to %" PRIu64,
-                         committed_by_[tenant]));
+            if (!holds(committed_by_[tenant] <= quota))
+                fail("tenant-quota", tenant,
+                     format("tenant %u committed frames <= quota %" PRIu64,
+                            static_cast<unsigned>(tenant), quota),
+                     format("reservation raised tenant frames to %" PRIu64,
+                            committed_by_[tenant]));
         }
         std::uint64_t sum = 0;
         for (std::uint64_t c : committed_by_)
             sum += c;
-        check(sum <= committed_, "tenant-occupancy", tenant,
-              format("per-tenant frames sum <= global %" PRIu64,
-                     committed_),
-              format("tenant frames sum to %" PRIu64, sum));
+        if (!holds(sum <= committed_))
+            fail("tenant-occupancy", tenant,
+                 format("per-tenant frames sum <= global %" PRIu64,
+                        committed_),
+                 format("tenant frames sum to %" PRIu64, sum));
     }
 }
 
 void
 ModelAuditor::onPreload(PageNum vpn)
 {
-    ShadowPage &p = page(vpn);
-    check(p.empty(), "page-residency", vpn,
-          "preload of a host-resident page with no transfer in flight",
-          format("preload of page in state %s", describe(p).c_str()));
-    p.in_h2d = true;
+    std::uint8_t &p = bits(vpn);
+    if (!holds((p & kResidency) == 0))
+        fail("page-residency", vpn,
+             "preload of a host-resident page with no transfer in flight",
+             format("preload of page in state %s", describe(p).c_str()));
+    p |= kInH2d;
     ++in_flight_h2d_;
 }
 
 void
-ModelAuditor::onPageCommitted(PageNum vpn, Cycle now,
+ModelAuditor::onPageCommitted(PageNum vpn,
                               std::uint64_t observed_committed)
 {
-    (void)now;
-    ShadowPage &p = page(vpn);
-    check(!p.resident, "page-residency", vpn,
-          "commit of a page that is not yet device-resident",
-          format("double commit: page already in state %s",
-                 describe(p).c_str()));
-    check(p.in_h2d, "page-residency", vpn,
-          "commit of a page with an inbound transfer in flight",
-          format("commit without a scheduled migration (state %s)",
-                 describe(p).c_str()));
-    p.in_h2d = false;
-    p.resident = true;
+    std::uint8_t &p = bits(vpn);
+    if (!holds(!(p & kResident)))
+        fail("page-residency", vpn,
+             "commit of a page that is not yet device-resident",
+             format("double commit: page already in state %s",
+                    describe(p).c_str()));
+    if (!holds(p & kInH2d))
+        fail("page-residency", vpn,
+             "commit of a page with an inbound transfer in flight",
+             format("commit without a scheduled migration (state %s)",
+                    describe(p).c_str()));
+    p &= ~kInH2d;
+    p |= kResident;
     --in_flight_h2d_;
     ++resident_count_;
     ++commits_;
-    if (dir_) {
-        check(dir_->tenantOf(vpn) != kNoTenant, "tenant-slice", vpn,
-              "committed page inside a registered tenant VA slice",
-              "page outside every tenant slice");
-    }
-    check(observed_committed == committed_, "occupancy-conservation",
-          vpn,
-          format("manager status tracker == shadow %" PRIu64,
-                 committed_),
-          format("manager reports %" PRIu64 " committed frames at "
-                 "commit",
-                 observed_committed));
+    if (dir_ && !holds(dir_->tenantOf(vpn) != kNoTenant))
+        fail("tenant-slice", vpn,
+             "committed page inside a registered tenant VA slice",
+             "page outside every tenant slice");
+    checkCommitted(vpn, observed_committed, " at commit");
 }
 
 void
-ModelAuditor::onEvictionBegin(PageNum vpn, Cycle now,
+ModelAuditor::onEvictionBegin(PageNum vpn,
                               std::uint64_t observed_committed)
 {
-    (void)now;
-    ShadowPage &p = page(vpn);
-    check(p.resident, "page-residency", vpn,
-          "eviction victim is device-resident",
-          format("eviction of page in state %s%s", describe(p).c_str(),
-                 p.in_d2h ? " (double eviction)"
-                          : " (non-resident victim)"));
-    p.resident = false;
-    p.in_d2h = true;
+    std::uint8_t &p = bits(vpn);
+    if (!holds(p & kResident))
+        fail("page-residency", vpn, "eviction victim is device-resident",
+             format("eviction of page in state %s%s",
+                    describe(p).c_str(),
+                    (p & kInD2h) ? " (double eviction)"
+                                 : " (non-resident victim)"));
+    p &= ~kResident;
+    p |= kInD2h;
     --resident_count_;
     ++in_flight_d2h_;
     ++evictions_;
     // The frame stays committed until the D2H transfer completes.
-    check(observed_committed == committed_, "occupancy-conservation",
-          vpn,
-          format("manager status tracker == shadow %" PRIu64,
-                 committed_),
-          format("manager reports %" PRIu64 " committed frames at "
-                 "eviction begin",
-                 observed_committed));
+    checkCommitted(vpn, observed_committed, " at eviction begin");
 }
 
 void
 ModelAuditor::onEvictionComplete(PageNum vpn,
                                  std::uint64_t observed_committed)
 {
-    ShadowPage &p = page(vpn);
-    check(p.in_d2h, "page-residency", vpn,
-          "eviction completion matches an eviction in flight",
-          format("eviction completion for page in state %s",
-                 describe(p).c_str()));
-    p.in_d2h = false;
+    std::uint8_t &p = bits(vpn);
+    if (!holds(p & kInD2h))
+        fail("page-residency", vpn,
+             "eviction completion matches an eviction in flight",
+             format("eviction completion for page in state %s",
+                    describe(p).c_str()));
+    p &= ~kInD2h;
     --in_flight_d2h_;
-    compact(vpn);
     if (dir_) {
         const TenantId owner = dir_->tenantOf(vpn);
         if (owner != kNoTenant) {
-            check(committed_by_[owner] > 0, "tenant-occupancy", vpn,
-                  format("tenant %u holds a frame to release",
-                         static_cast<unsigned>(owner)),
-                  "eviction completion with zero tenant frames");
+            if (!holds(committed_by_[owner] > 0))
+                fail("tenant-occupancy", vpn,
+                     format("tenant %u holds a frame to release",
+                            static_cast<unsigned>(owner)),
+                     "eviction completion with zero tenant frames");
             --committed_by_[owner];
         }
     }
     if (capacity_pages_ != 0) {
-        check(committed_ > 0, "occupancy-conservation", vpn,
-              "a committed frame to release",
-              "eviction completion with zero committed frames");
+        if (!holds(committed_ > 0))
+            fail("occupancy-conservation", vpn,
+                 "a committed frame to release",
+                 "eviction completion with zero committed frames");
         --committed_;
     }
-    check(observed_committed == committed_, "occupancy-conservation",
-          vpn,
-          format("manager status tracker == shadow %" PRIu64,
-                 committed_),
-          format("manager reports %" PRIu64 " committed frames after "
-                 "eviction",
-                 observed_committed));
+    checkCommitted(vpn, observed_committed, " after eviction");
 }
 
 // ---- UvmRuntime sites ----------------------------------------------
 
 void
-ModelAuditor::onInterruptRaised(Cycle now)
+ModelAuditor::onInterruptRaised()
 {
-    (void)now;
-    check(batch_ == BatchState::Idle, "batch-lifecycle", 0,
-          "fault interrupt raised while the runtime is Idle",
-          format("interrupt raised in state %s",
-                 batchStateName(batch_)));
+    if (!holds(batch_ == BatchState::Idle))
+        fail("batch-lifecycle", 0,
+             "fault interrupt raised while the runtime is Idle",
+             format("interrupt raised in state %s",
+                    batchStateName(batch_)));
     batch_ = BatchState::InterruptPending;
 }
 
 void
-ModelAuditor::onBatchBegin(Cycle now, bool chained)
+ModelAuditor::onBatchBegin(bool chained)
 {
-    (void)now;
     if (chained) {
-        check(batch_ == BatchState::Idle, "batch-lifecycle", 0,
-              "chained batch begins right after the previous batch "
-              "ended",
-              format("chained batch begin in state %s",
-                     batchStateName(batch_)));
-    } else {
-        check(batch_ == BatchState::InterruptPending,
-              "batch-lifecycle", 0,
-              "batch begins from a pending fault interrupt",
-              format("batch begin in state %s (no interrupt round "
-                     "trip)",
-                     batchStateName(batch_)));
+        if (!holds(batch_ == BatchState::Idle))
+            fail("batch-lifecycle", 0,
+                 "chained batch begins right after the previous batch "
+                 "ended",
+                 format("chained batch begin in state %s",
+                        batchStateName(batch_)));
+    } else if (!holds(batch_ == BatchState::InterruptPending)) {
+        fail("batch-lifecycle", 0,
+             "batch begins from a pending fault interrupt",
+             format("batch begin in state %s (no interrupt round trip)",
+                    batchStateName(batch_)));
     }
     batch_ = BatchState::BatchActive;
     ++batches_;
@@ -332,19 +306,20 @@ ModelAuditor::onBatchBegin(Cycle now, bool chained)
 }
 
 void
-ModelAuditor::onPreemptiveEviction(Cycle now)
+ModelAuditor::onPreemptiveEviction()
 {
-    (void)now;
-    check(batch_ == BatchState::BatchActive, "batch-lifecycle", 0,
-          "UE preemptive eviction inside an active batch",
-          format("preemptive eviction in state %s",
-                 batchStateName(batch_)));
-    check(migrations_this_batch_ == 0, "batch-lifecycle", 0,
-          "UE preemptive eviction only at batch start (top-half ISR, "
-          "before any migration)",
-          format("preemptive eviction after %" PRIu64
-                 " migrations of the batch",
-                 migrations_this_batch_));
+    if (!holds(batch_ == BatchState::BatchActive))
+        fail("batch-lifecycle", 0,
+             "UE preemptive eviction inside an active batch",
+             format("preemptive eviction in state %s",
+                    batchStateName(batch_)));
+    if (!holds(migrations_this_batch_ == 0))
+        fail("batch-lifecycle", 0,
+             "UE preemptive eviction only at batch start (top-half ISR, "
+             "before any migration)",
+             format("preemptive eviction after %" PRIu64
+                    " migrations of the batch",
+                    migrations_this_batch_));
 }
 
 void
@@ -352,30 +327,32 @@ ModelAuditor::onMigrationScheduled(PageNum vpn, Cycle now,
                                    Cycle wire_begin, Cycle wire_end,
                                    std::uint64_t wire_bytes)
 {
-    check(batch_ == BatchState::BatchActive, "batch-lifecycle", vpn,
-          "migrations are scheduled only inside an active batch",
-          format("migration scheduled in state %s",
-                 batchStateName(batch_)));
-    ShadowPage &p = page(vpn);
-    check(!p.resident && !p.in_h2d, "page-residency", vpn,
-          "migration of a host-resident page with no inbound transfer "
-          "in flight",
-          format("migration of page in state %s%s",
-                 describe(p).c_str(),
-                 p.in_h2d ? " (double migration)"
-                 : p.resident ? " (already resident)"
-                              : ""));
-    p.in_h2d = true;
+    if (!holds(batch_ == BatchState::BatchActive))
+        fail("batch-lifecycle", vpn,
+             "migrations are scheduled only inside an active batch",
+             format("migration scheduled in state %s",
+                    batchStateName(batch_)));
+    std::uint8_t &p = bits(vpn);
+    if (!holds(!(p & (kResident | kInH2d))))
+        fail("page-residency", vpn,
+             "migration of a host-resident page with no inbound transfer "
+             "in flight",
+             format("migration of page in state %s%s",
+                    describe(p).c_str(),
+                    (p & kInH2d)       ? " (double migration)"
+                    : (p & kResident) ? " (already resident)"
+                                      : ""));
+    p |= kInH2d;
     ++in_flight_h2d_;
     ++migrations_this_batch_;
     sched_h2d_bytes_ += wire_bytes;
-    check(wire_begin >= now && wire_end > wire_begin,
-          "pcie-conservation", vpn,
-          format("transfer window starts at/after cycle %" PRIu64
-                 " and has positive length",
-                 now),
-          format("window [%" PRIu64 ", %" PRIu64 "]", wire_begin,
-                 wire_end));
+    if (!holds(wire_begin >= now && wire_end > wire_begin))
+        fail("pcie-conservation", vpn,
+             format("transfer window starts at/after cycle %" PRIu64
+                    " and has positive length",
+                    now),
+             format("window [%" PRIu64 ", %" PRIu64 "]", wire_begin,
+                    wire_end));
 }
 
 void
@@ -383,62 +360,63 @@ ModelAuditor::onEvictionTransfer(PageNum vpn, Cycle wire_begin,
                                  Cycle wire_end,
                                  std::uint64_t wire_bytes)
 {
-    ShadowPage &p = page(vpn);
-    check(p.in_d2h, "page-residency", vpn,
-          "eviction transfer for a page whose eviction began",
-          format("eviction transfer for page in state %s",
-                 describe(p).c_str()));
+    if (!holds(bitsOf(vpn) & kInD2h))
+        fail("page-residency", vpn,
+             "eviction transfer for a page whose eviction began",
+             format("eviction transfer for page in state %s",
+                    describe(bitsOf(vpn)).c_str()));
     sched_d2h_bytes_ += wire_bytes;
-    check(wire_end > wire_begin, "pcie-conservation", vpn,
-          "positive transfer length",
-          format("window [%" PRIu64 ", %" PRIu64 "]", wire_begin,
-                 wire_end));
+    if (!holds(wire_end > wire_begin))
+        fail("pcie-conservation", vpn, "positive transfer length",
+             format("window [%" PRIu64 ", %" PRIu64 "]", wire_begin,
+                    wire_end));
 }
 
 void
-ModelAuditor::onBatchEnd(Cycle now, std::uint32_t fault_pages,
+ModelAuditor::onBatchEnd(std::uint32_t fault_pages,
                          std::uint32_t prefetch_pages)
 {
-    (void)now;
-    check(batch_ == BatchState::BatchActive, "batch-lifecycle", 0,
-          "batch end closes an active batch",
-          format("batch end in state %s", batchStateName(batch_)));
+    if (!holds(batch_ == BatchState::BatchActive))
+        fail("batch-lifecycle", 0, "batch end closes an active batch",
+             format("batch end in state %s", batchStateName(batch_)));
     const std::uint64_t expected =
         static_cast<std::uint64_t>(fault_pages) + prefetch_pages;
-    check(migrations_this_batch_ == expected, "batch-lifecycle", 0,
-          format("batch migrated exactly its %" PRIu64
-                 " demand+prefetch pages",
-                 expected),
-          format("%" PRIu64 " migrations were scheduled",
-                 migrations_this_batch_));
+    if (!holds(migrations_this_batch_ == expected))
+        fail("batch-lifecycle", 0,
+             format("batch migrated exactly its %" PRIu64
+                    " demand+prefetch pages",
+                    expected),
+             format("%" PRIu64 " migrations were scheduled",
+                    migrations_this_batch_));
     batch_ = BatchState::Idle;
 }
 
 // ---- FaultBuffer sites ---------------------------------------------
 
 void
-ModelAuditor::onFaultBuffered(PageNum vpn, Cycle now,
-                              std::size_t observed_entries,
+ModelAuditor::onFaultBuffered(PageNum vpn, std::size_t observed_entries,
                               std::size_t observed_overflow)
 {
-    (void)now;
     // Shadow replica of the buffer's merge/overflow policy.
-    if (fb_entries_.count(vpn) == 0) {
+    std::uint8_t &p = bits(vpn);
+    if (!(p & kFbEntry)) {
         if (fb_entries_.size() >= config_.fault_buffer_entries) {
-            if (std::find(fb_overflow_.begin(), fb_overflow_.end(),
-                          vpn) == fb_overflow_.end())
+            if (!(p & kFbOverflow)) {
+                p |= kFbOverflow;
                 fb_overflow_.push_back(vpn);
+            }
         } else {
-            fb_entries_.insert(vpn);
+            p |= kFbEntry;
+            fb_entries_.push_back(vpn);
         }
     }
-    check(observed_entries == fb_entries_.size() &&
-              observed_overflow == fb_overflow_.size(),
-          "fault-buffer-accounting", vpn,
-          format("buffer holds %zu entries + %zu overflowed faults",
-                 fb_entries_.size(), fb_overflow_.size()),
-          format("buffer reports %zu entries + %zu overflowed",
-                 observed_entries, observed_overflow));
+    if (!holds(observed_entries == fb_entries_.size() &&
+               observed_overflow == fb_overflow_.size()))
+        fail("fault-buffer-accounting", vpn,
+             format("buffer holds %zu entries + %zu overflowed faults",
+                    fb_entries_.size(), fb_overflow_.size()),
+             format("buffer reports %zu entries + %zu overflowed",
+                    observed_entries, observed_overflow));
 }
 
 void
@@ -446,24 +424,34 @@ ModelAuditor::onFaultDrained(std::size_t drained,
                              std::size_t observed_entries,
                              std::size_t observed_overflow)
 {
-    check(drained == fb_entries_.size(), "fault-buffer-accounting", 0,
-          format("drain returns the %zu buffered entries",
-                 fb_entries_.size()),
-          format("drain returned %zu records", drained));
+    if (!holds(drained == fb_entries_.size()))
+        fail("fault-buffer-accounting", 0,
+             format("drain returns the %zu buffered entries",
+                    fb_entries_.size()),
+             format("drain returned %zu records", drained));
+    for (const PageNum vpn : fb_entries_)
+        pages_[vpn] &= ~kFbEntry;
     fb_entries_.clear();
-    while (!fb_overflow_.empty() &&
+    // Refill from the front of the overflow queue, in arrival order.
+    std::size_t refilled = 0;
+    while (refilled < fb_overflow_.size() &&
            fb_entries_.size() < config_.fault_buffer_entries) {
-        fb_entries_.insert(fb_overflow_.front());
-        fb_overflow_.erase(fb_overflow_.begin());
+        const PageNum vpn = fb_overflow_[refilled++];
+        pages_[vpn] &= ~kFbOverflow;
+        pages_[vpn] |= kFbEntry;
+        fb_entries_.push_back(vpn);
     }
-    check(observed_entries == fb_entries_.size() &&
-              observed_overflow == fb_overflow_.size(),
-          "fault-buffer-accounting", 0,
-          format("post-drain refill leaves %zu entries + %zu "
-                 "overflowed",
-                 fb_entries_.size(), fb_overflow_.size()),
-          format("buffer reports %zu entries + %zu overflowed",
-                 observed_entries, observed_overflow));
+    fb_overflow_.erase(fb_overflow_.begin(),
+                       fb_overflow_.begin() +
+                           static_cast<std::ptrdiff_t>(refilled));
+    if (!holds(observed_entries == fb_entries_.size() &&
+               observed_overflow == fb_overflow_.size()))
+        fail("fault-buffer-accounting", 0,
+             format("post-drain refill leaves %zu entries + %zu "
+                    "overflowed",
+                    fb_entries_.size(), fb_overflow_.size()),
+             format("buffer reports %zu entries + %zu overflowed",
+                    observed_entries, observed_overflow));
 }
 
 // ---- PcieLink sites ------------------------------------------------
@@ -473,14 +461,15 @@ ModelAuditor::onPcieTransfer(bool h2d, std::uint64_t bytes, Cycle begin,
                              Cycle end)
 {
     Cycle &last = h2d ? h2d_last_begin_ : d2h_last_begin_;
-    check(begin >= last, "pcie-conservation", 0,
-          format("%s transfers start in FIFO order (previous began at "
-                 "%" PRIu64 ")",
-                 h2d ? "H2D" : "D2H", last),
-          format("transfer begins at %" PRIu64, begin));
-    check(end > begin, "pcie-conservation", 0,
-          "positive transfer length",
-          format("window [%" PRIu64 ", %" PRIu64 "]", begin, end));
+    if (!holds(begin >= last))
+        fail("pcie-conservation", 0,
+             format("%s transfers start in FIFO order (previous began at "
+                    "%" PRIu64 ")",
+                    h2d ? "H2D" : "D2H", last),
+             format("transfer begins at %" PRIu64, begin));
+    if (!holds(end > begin))
+        fail("pcie-conservation", 0, "positive transfer length",
+             format("window [%" PRIu64 ", %" PRIu64 "]", begin, end));
     last = begin;
     (h2d ? link_h2d_bytes_ : link_d2h_bytes_) += bytes;
 }
@@ -490,49 +479,37 @@ ModelAuditor::onPcieTransfer(bool h2d, std::uint64_t bytes, Cycle begin,
 void
 ModelAuditor::onTranslationHit(PageNum vpn)
 {
-    auto it = pages_.find(vpn);
-    const bool resident = it != pages_.end() && it->second.resident;
-    check(resident, "tlb-coherence", vpn,
-          "TLB hits serve only device-resident pages",
-          format("TLB hit for page in state %s (stale translation "
-                 "survived an eviction shootdown)",
-                 it == pages_.end() ? "{host}"
-                                    : describe(it->second).c_str()));
+    const std::uint8_t p = bitsOf(vpn);
+    if (!holds(p & kResident))
+        fail("tlb-coherence", vpn,
+             "TLB hits serve only device-resident pages",
+             format("TLB hit for page in state %s (stale translation "
+                    "survived an eviction shootdown)",
+                    (p & kResidency) ? describe(p).c_str() : "{host}"));
 }
 
 void
 ModelAuditor::onTranslationInsert(PageNum vpn)
 {
-    auto it = pages_.find(vpn);
-    const bool resident = it != pages_.end() && it->second.resident;
-    check(resident, "tlb-coherence", vpn,
-          "translations are cached only for device-resident pages",
-          format("TLB insert for page in state %s",
-                 it == pages_.end() ? "{host}"
-                                    : describe(it->second).c_str()));
-    ++cached_translations_[vpn];
+    const std::uint8_t p = bitsOf(vpn);
+    if (!holds(p & kResident))
+        fail("tlb-coherence", vpn,
+             "translations are cached only for device-resident pages",
+             format("TLB insert for page in state %s",
+                    (p & kResidency) ? describe(p).c_str() : "{host}"));
 }
 
 void
-ModelAuditor::onTranslationInvalidate(PageNum vpn)
+ModelAuditor::onWalkResolved(PageNum vpn, bool observed_fault)
 {
-    ++checks_; // shootdowns are always legal; count the observation
-    cached_translations_.erase(vpn);
-}
-
-void
-ModelAuditor::onWalkResolved(PageNum vpn, Cycle now,
-                             bool observed_fault)
-{
-    (void)now;
-    auto it = pages_.find(vpn);
-    const bool resident = it != pages_.end() && it->second.resident;
-    check(observed_fault == !resident, "tlb-coherence", vpn,
-          format("page-table walk agrees with shadow residency "
-                 "(resident=%d)",
-                 resident),
-          format("walk resolved %s",
-                 observed_fault ? "a fault" : "a translation"));
+    const bool resident = (bitsOf(vpn) & kResident) != 0;
+    if (!holds(observed_fault == !resident))
+        fail("tlb-coherence", vpn,
+             format("page-table walk agrees with shadow residency "
+                    "(resident=%d)",
+                    resident),
+             format("walk resolved %s",
+                    observed_fault ? "a fault" : "a translation"));
 }
 
 // ---- end of run ----------------------------------------------------
@@ -542,64 +519,66 @@ ModelAuditor::finalize(const RunResult &result,
                        std::uint64_t observed_committed,
                        std::size_t observed_resident)
 {
-    check(in_flight_h2d_ == 0, "page-residency", 0,
-          "no inbound transfer outlives the run",
-          format("%zu pages still in flight H2D", in_flight_h2d_));
-    check(in_flight_d2h_ == 0, "page-residency", 0,
-          "no eviction transfer outlives the run",
-          format("%zu pages still in flight D2H", in_flight_d2h_));
-    check(batch_ == BatchState::Idle, "batch-lifecycle", 0,
-          "the batch machinery drained to Idle",
-          format("run ended in state %s", batchStateName(batch_)));
-    check(fb_entries_.empty() && fb_overflow_.empty(),
-          "fault-buffer-accounting", 0,
-          "every buffered fault was batched",
-          format("%zu entries + %zu overflowed faults leaked",
-                 fb_entries_.size(), fb_overflow_.size()));
-    check(observed_resident == resident_count_,
-          "occupancy-conservation", 0,
-          format("page table holds the %zu shadow-resident pages",
-                 resident_count_),
-          format("page table reports %zu resident pages",
-                 observed_resident));
-    if (capacity_pages_ != 0) {
-        check(observed_committed == committed_ &&
-                  committed_ == resident_count_,
-              "occupancy-conservation", 0,
-              format("committed == resident == %zu at run end",
-                     resident_count_),
-              format("manager reports %" PRIu64
-                     " committed, shadow %" PRIu64,
-                     observed_committed, committed_));
-    }
-    check(result.migrations == commits_, "occupancy-conservation", 0,
-          format("RunResult.migrations == %" PRIu64 " shadow commits",
-                 commits_),
-          format("RunResult reports %" PRIu64, result.migrations));
-    check(result.evictions == evictions_, "occupancy-conservation", 0,
-          format("RunResult.evictions == %" PRIu64 " shadow evictions",
-                 evictions_),
-          format("RunResult reports %" PRIu64, result.evictions));
-    check(result.batches == batches_, "batch-lifecycle", 0,
-          format("RunResult.batches == %" PRIu64 " shadow batches",
-                 batches_),
-          format("RunResult reports %" PRIu64, result.batches));
-    check(link_h2d_bytes_ == sched_h2d_bytes_ &&
-              result.pcie_h2d_bytes == link_h2d_bytes_,
-          "pcie-conservation", 0,
-          format("H2D bytes conserved: scheduled %" PRIu64
-                 " == link %" PRIu64 " == reported",
-                 sched_h2d_bytes_, link_h2d_bytes_),
-          format("RunResult reports %" PRIu64 " H2D bytes",
-                 result.pcie_h2d_bytes));
-    check(link_d2h_bytes_ == sched_d2h_bytes_ &&
-              result.pcie_d2h_bytes == link_d2h_bytes_,
-          "pcie-conservation", 0,
-          format("D2H bytes conserved: scheduled %" PRIu64
-                 " == link %" PRIu64 " == reported",
-                 sched_d2h_bytes_, link_d2h_bytes_),
-          format("RunResult reports %" PRIu64 " D2H bytes",
-                 result.pcie_d2h_bytes));
+    if (!holds(in_flight_h2d_ == 0))
+        fail("page-residency", 0, "no inbound transfer outlives the run",
+             format("%zu pages still in flight H2D", in_flight_h2d_));
+    if (!holds(in_flight_d2h_ == 0))
+        fail("page-residency", 0, "no eviction transfer outlives the run",
+             format("%zu pages still in flight D2H", in_flight_d2h_));
+    if (!holds(batch_ == BatchState::Idle))
+        fail("batch-lifecycle", 0, "the batch machinery drained to Idle",
+             format("run ended in state %s", batchStateName(batch_)));
+    if (!holds(fb_entries_.empty() && fb_overflow_.empty()))
+        fail("fault-buffer-accounting", 0,
+             "every buffered fault was batched",
+             format("%zu entries + %zu overflowed faults leaked",
+                    fb_entries_.size(), fb_overflow_.size()));
+    if (!holds(observed_resident == resident_count_))
+        fail("occupancy-conservation", 0,
+             format("page table holds the %zu shadow-resident pages",
+                    resident_count_),
+             format("page table reports %zu resident pages",
+                    observed_resident));
+    if (capacity_pages_ != 0 &&
+        !holds(observed_committed == committed_ &&
+               committed_ == resident_count_))
+        fail("occupancy-conservation", 0,
+             format("committed == resident == %zu at run end",
+                    resident_count_),
+             format("manager reports %" PRIu64
+                    " committed, shadow %" PRIu64,
+                    observed_committed, committed_));
+    if (!holds(result.migrations == commits_))
+        fail("occupancy-conservation", 0,
+             format("RunResult.migrations == %" PRIu64 " shadow commits",
+                    commits_),
+             format("RunResult reports %" PRIu64, result.migrations));
+    if (!holds(result.evictions == evictions_))
+        fail("occupancy-conservation", 0,
+             format("RunResult.evictions == %" PRIu64 " shadow evictions",
+                    evictions_),
+             format("RunResult reports %" PRIu64, result.evictions));
+    if (!holds(result.batches == batches_))
+        fail("batch-lifecycle", 0,
+             format("RunResult.batches == %" PRIu64 " shadow batches",
+                    batches_),
+             format("RunResult reports %" PRIu64, result.batches));
+    if (!holds(link_h2d_bytes_ == sched_h2d_bytes_ &&
+               result.pcie_h2d_bytes == link_h2d_bytes_))
+        fail("pcie-conservation", 0,
+             format("H2D bytes conserved: scheduled %" PRIu64
+                    " == link %" PRIu64 " == reported",
+                    sched_h2d_bytes_, link_h2d_bytes_),
+             format("RunResult reports %" PRIu64 " H2D bytes",
+                    result.pcie_h2d_bytes));
+    if (!holds(link_d2h_bytes_ == sched_d2h_bytes_ &&
+               result.pcie_d2h_bytes == link_d2h_bytes_))
+        fail("pcie-conservation", 0,
+             format("D2H bytes conserved: scheduled %" PRIu64
+                    " == link %" PRIu64 " == reported",
+                    sched_d2h_bytes_, link_d2h_bytes_),
+             format("RunResult reports %" PRIu64 " D2H bytes",
+                    result.pcie_d2h_bytes));
 }
 
 } // namespace bauvm

@@ -38,7 +38,14 @@
  * cycle, page, invariant, expected vs observed, plus the tail of the
  * trace ring when tracing is on) and panics, which under the sweep
  * runner's ScopedAbortCapture fails the cell the same way any other
- * simulation abort does.
+ * simulation abort does. The diagnostic text is built only then: a
+ * passing check counts itself and formats nothing.
+ *
+ * The per-page shadow is one dense VPN-indexed byte of state bits
+ * (the PageMetaTable idiom): writes grow the table, reads never do,
+ * and a page beyond it reads as host-resident. The fault-buffer
+ * replica keeps its membership in two more of those bits plus two
+ * plain vectors, so a steady-state audited run allocates nothing.
  *
  * Auditing is read-only with respect to the simulation: hooks receive
  * observed values by argument and never touch simulated components, so
@@ -49,10 +56,9 @@
 #ifndef BAUVM_CHECK_MODEL_AUDITOR_H_
 #define BAUVM_CHECK_MODEL_AUDITOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/mem/tenant_directory.h"
@@ -112,12 +118,10 @@ class ModelAuditor
     void onPreload(PageNum vpn);
 
     /** Inbound page mapped into its frame. */
-    void onPageCommitted(PageNum vpn, Cycle now,
-                         std::uint64_t observed_committed);
+    void onPageCommitted(PageNum vpn, std::uint64_t observed_committed);
 
     /** Eviction victim selected and unmapped (frame still committed). */
-    void onEvictionBegin(PageNum vpn, Cycle now,
-                         std::uint64_t observed_committed);
+    void onEvictionBegin(PageNum vpn, std::uint64_t observed_committed);
 
     /** Eviction D2H transfer finished; the frame was released. */
     void onEvictionComplete(PageNum vpn,
@@ -126,14 +130,14 @@ class ModelAuditor
     // ---- UvmRuntime sites -------------------------------------------
 
     /** A fault interrupt was raised (top-half dispatch scheduled). */
-    void onInterruptRaised(Cycle now);
+    void onInterruptRaised();
 
     /** Batch processing began. @p chained: started directly from the
      *  previous batch's end, skipping the interrupt round trip. */
-    void onBatchBegin(Cycle now, bool chained);
+    void onBatchBegin(bool chained);
 
     /** UE's top-half preemptive eviction was launched. */
-    void onPreemptiveEviction(Cycle now);
+    void onPreemptiveEviction();
 
     /** One migration of the active batch was put on the H2D channel. */
     void onMigrationScheduled(PageNum vpn, Cycle now, Cycle wire_begin,
@@ -146,15 +150,14 @@ class ModelAuditor
 
     /** The active batch completed. @p fault_pages/@p prefetch_pages:
      *  the BatchRecord page counts the runtime is about to report. */
-    void onBatchEnd(Cycle now, std::uint32_t fault_pages,
+    void onBatchEnd(std::uint32_t fault_pages,
                     std::uint32_t prefetch_pages);
 
     // ---- FaultBuffer sites ------------------------------------------
 
     /** A fault was inserted (or merged/overflowed). @p observed_entries
      *  and @p observed_overflow are the buffer's sizes after insert. */
-    void onFaultBuffered(PageNum vpn, Cycle now,
-                         std::size_t observed_entries,
+    void onFaultBuffered(PageNum vpn, std::size_t observed_entries,
                          std::size_t observed_overflow);
 
     /** The buffer was drained into a batch. @p drained: records
@@ -177,12 +180,9 @@ class ModelAuditor
     /** A translation for @p vpn was inserted into a TLB. */
     void onTranslationInsert(PageNum vpn);
 
-    /** Every cached translation for @p vpn was shot down. */
-    void onTranslationInvalidate(PageNum vpn);
-
     /** A page-table walk resolved. @p observed_fault: the walker found
      *  the page non-resident. */
-    void onWalkResolved(PageNum vpn, Cycle now, bool observed_fault);
+    void onWalkResolved(PageNum vpn, bool observed_fault);
 
     // ---- end of run -------------------------------------------------
 
@@ -202,12 +202,6 @@ class ModelAuditor
     /** Total invariant checks performed so far. */
     std::uint64_t checksPerformed() const { return checks_; }
 
-    /** True while @p vpn has at least one shadow-cached translation. */
-    bool translationCached(PageNum vpn) const
-    {
-        return cached_translations_.count(vpn) != 0;
-    }
-
     /** Shadow committed-frame counter. */
     std::uint64_t shadowCommitted() const { return committed_; }
 
@@ -215,26 +209,46 @@ class ModelAuditor
     std::size_t shadowResident() const { return resident_count_; }
 
   private:
-    /** Per-page shadow flags (absent map entry = host-resident). */
-    struct ShadowPage {
-        bool resident = false; //!< device-resident (mapped)
-        bool in_h2d = false;   //!< queued or transferring in
-        bool in_d2h = false;   //!< eviction transfer in flight
-        bool empty() const { return !resident && !in_h2d && !in_d2h; }
-    };
+    // Per-page shadow bits; a page with none is host-resident.
+    static constexpr std::uint8_t kResident = 1u << 0; //!< mapped
+    static constexpr std::uint8_t kInH2d = 1u << 1;    //!< migrating in
+    static constexpr std::uint8_t kInD2h = 1u << 2;    //!< evicting out
+    static constexpr std::uint8_t kResidency = kResident | kInH2d | kInD2h;
+    static constexpr std::uint8_t kFbEntry = 1u << 3;    //!< buffered
+    static constexpr std::uint8_t kFbOverflow = 1u << 4; //!< overflowed
 
     enum class BatchState { Idle, InterruptPending, BatchActive };
 
-    ShadowPage &page(PageNum vpn) { return pages_[vpn]; }
-    /** Drops @p vpn's entry when it returned to plain host residency. */
-    void compact(PageNum vpn);
-    /** One invariant comparison; fails loudly on mismatch. */
-    void check(bool ok, const char *invariant, PageNum vpn,
-               const std::string &expected, const std::string &observed);
+    /** @p vpn's bits, growing the table. Every VPN the simulation
+     *  hands the auditor is already bounded by its PageMetaTable. */
+    std::uint8_t &
+    bits(PageNum vpn)
+    {
+        if (vpn >= pages_.size())
+            pages_.resize(std::max<std::size_t>(vpn + 1, 2 * pages_.size()));
+        return pages_[vpn];
+    }
+    /** @p vpn's bits without growth (0 beyond the table). */
+    std::uint8_t
+    bitsOf(PageNum vpn) const
+    {
+        return vpn < pages_.size() ? pages_[vpn] : 0;
+    }
+    /** Counts one invariant check; true when it holds. */
+    bool
+    holds(bool ok)
+    {
+        ++checks_;
+        return ok;
+    }
+    /** The manager's committed-frame count equals the shadow's;
+     *  @p when suffixes the observed text (" at commit"). */
+    void checkCommitted(PageNum vpn, std::uint64_t observed,
+                        const char *when);
     [[noreturn]] void fail(const char *invariant, PageNum vpn,
                            const std::string &expected,
                            const std::string &observed);
-    std::string describe(const ShadowPage &p) const;
+    static std::string describe(std::uint8_t bits);
     static const char *batchStateName(BatchState s);
 
     UvmConfig config_;
@@ -243,7 +257,7 @@ class ModelAuditor
     std::string context_ = "?";
 
     // Residency / occupancy shadow.
-    std::unordered_map<PageNum, ShadowPage> pages_;
+    std::vector<std::uint8_t> pages_; //!< state bits indexed by VPN
     std::size_t resident_count_ = 0;
     std::size_t in_flight_h2d_ = 0;
     std::size_t in_flight_d2h_ = 0;
@@ -267,12 +281,9 @@ class ModelAuditor
     Cycle h2d_last_begin_ = 0;
     Cycle d2h_last_begin_ = 0;
 
-    // Fault-buffer shadow replica.
-    std::unordered_set<PageNum> fb_entries_;
+    // Fault-buffer shadow replica, in arrival order.
+    std::vector<PageNum> fb_entries_;
     std::vector<PageNum> fb_overflow_;
-
-    // Translation-coherence shadow: vpn -> cached-structure count.
-    std::unordered_map<PageNum, std::uint32_t> cached_translations_;
 
     std::uint64_t checks_ = 0;
 };

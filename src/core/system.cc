@@ -94,6 +94,25 @@ GpuUvmSystem::run(Workload &workload, WorkloadScale scale)
         gpu_.runKernel(kernel);
         ++r.kernels;
     }
+    collectRun(r, begin, events_begin, wall_begin);
+
+    r.instructions = gpu_.totalIssuedInstructions();
+    r.context_switches = gpu_.vtc().contextSwitches();
+    r.context_switch_cycles = gpu_.vtc().switchCycles();
+    r.translations = hierarchy_.accesses();
+    r.tlb_hit_rate = hierarchy_.tlbHitRate();
+    r.faults_per_kcycle =
+        r.cycles ? 1000.0 * static_cast<double>(hierarchy_.faults()) /
+                       static_cast<double>(r.cycles)
+                 : 0.0;
+    return r;
+}
+
+void
+GpuUvmSystem::collectRun(RunResult &r, Cycle begin,
+                         std::uint64_t events_begin,
+                         std::chrono::steady_clock::time_point wall_begin)
+{
     r.cycles = events_.now() - begin;
     r.sim_events = events_.executedEvents() - events_begin;
     r.event_order_digest = events_.orderDigest();
@@ -105,7 +124,6 @@ GpuUvmSystem::run(Workload &workload, WorkloadScale scale)
                                  r.host_wall_s
                            : 0.0;
 
-    r.instructions = gpu_.totalIssuedInstructions();
     r.batches = runtime_.batches();
     r.avg_batch_pages = runtime_.averageBatchPages();
     r.avg_batch_time = runtime_.averageProcessingTime();
@@ -117,21 +135,12 @@ GpuUvmSystem::run(Workload &workload, WorkloadScale scale)
     r.evictions = manager_.evictions();
     r.premature_evictions = manager_.prematureEvictions();
     r.premature_rate = manager_.prematureEvictionRate();
-    r.context_switches = gpu_.vtc().contextSwitches();
-    r.context_switch_cycles = gpu_.vtc().switchCycles();
     r.pcie_h2d_bytes = runtime_.pcie().bytesMoved(PcieDir::HostToDevice);
     r.pcie_d2h_bytes = runtime_.pcie().bytesMoved(PcieDir::DeviceToHost);
-    r.translations = hierarchy_.accesses();
-    r.tlb_hit_rate = hierarchy_.tlbHitRate();
-    r.faults_per_kcycle =
-        r.cycles ? 1000.0 * static_cast<double>(hierarchy_.faults()) /
-                       static_cast<double>(r.cycles)
-                 : 0.0;
     if (audit_) {
         audit_->finalize(r, manager_.committedFrames(),
                          manager_.pageTable().residentPages());
     }
-    return r;
 }
 
 namespace
@@ -318,40 +327,15 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
         }
     }
 
-    r.cycles = events_.now() - begin;
-    r.sim_events = events_.executedEvents() - events_begin;
-    r.event_order_digest = events_.orderDigest();
-    r.host_wall_s = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wall_begin)
-                        .count();
-    r.events_per_sec = r.host_wall_s > 0.0
-                           ? static_cast<double>(r.sim_events) /
-                                 r.host_wall_s
-                           : 0.0;
+    collectRun(r, begin, events_begin, wall_begin);
 
-    for (std::uint32_t i = 0; i < n; ++i)
-        r.instructions += tenant_gpus_[i]->totalIssuedInstructions();
-    r.batches = runtime_.batches();
-    r.avg_batch_pages = runtime_.averageBatchPages();
-    r.avg_batch_time = runtime_.averageProcessingTime();
-    r.avg_handling_time = runtime_.averageHandlingTime();
-    r.demand_pages = runtime_.demandFaultPages();
-    r.prefetched_pages = runtime_.prefetchedPages();
-    r.batch_records = runtime_.batchRecords();
-    r.migrations = manager_.migrations();
-    r.evictions = manager_.evictions();
-    r.premature_evictions = manager_.prematureEvictions();
-    r.premature_rate = manager_.prematureEvictionRate();
+    std::uint64_t hierarchy_faults = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
+        r.instructions += tenant_gpus_[i]->totalIssuedInstructions();
         r.context_switches +=
             tenant_gpus_[i]->vtc().contextSwitches();
         r.context_switch_cycles +=
             tenant_gpus_[i]->vtc().switchCycles();
-    }
-    r.pcie_h2d_bytes = runtime_.pcie().bytesMoved(PcieDir::HostToDevice);
-    r.pcie_d2h_bytes = runtime_.pcie().bytesMoved(PcieDir::DeviceToHost);
-    std::uint64_t hierarchy_faults = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
         r.translations += tenant_hierarchies_[i]->accesses();
         hierarchy_faults += tenant_hierarchies_[i]->faults();
     }
@@ -391,11 +375,6 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
         t.peak_resident_pages = manager_.peakCommittedFramesOf(id);
         t.avg_lifetime_cycles = manager_.avgLifetimeOf(id);
         r.kernels += t.kernels;
-    }
-
-    if (audit_) {
-        audit_->finalize(r, manager_.committedFrames(),
-                         manager_.pageTable().residentPages());
     }
     return r;
 }

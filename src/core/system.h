@@ -15,6 +15,7 @@
 #ifndef BAUVM_CORE_SYSTEM_H_
 #define BAUVM_CORE_SYSTEM_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -150,6 +151,15 @@ class GpuUvmSystem
     ModelAuditor *audit() { return audit_.get(); }
 
   private:
+    /**
+     * Fills @p r's simulated-time and host-time block and the batch,
+     * eviction and PCIe statistics of the shared runtime and manager,
+     * then runs the auditor's end-of-run checks, which read only these
+     * fields. Each run() overload adds its per-GPU statistics after.
+     */
+    void collectRun(RunResult &r, Cycle begin, std::uint64_t events_begin,
+                    std::chrono::steady_clock::time_point wall_begin);
+
     SimConfig config_;
     EventQueue events_;
     // Observers are built first so hooks_ can be handed to every

@@ -47,8 +47,6 @@ MemoryHierarchy::invalidatePage(PageNum vpn)
     for (auto &tlb : l1_tlbs_)
         tlb->invalidate(vpn);
     l2_tlb_->invalidate(vpn);
-    if (hooks_.audit)
-        hooks_.audit->onTranslationInvalidate(vpn);
 }
 
 } // namespace bauvm

@@ -190,7 +190,7 @@ MemoryHierarchy::translate(std::uint32_t sm, PageNum vpn, Cycle start)
     const Cycle walk_done = walker_.walk(vpn, t);
     const bool fault = !page_table_.isResident(vpn);
     if (hooks_.audit)
-        hooks_.audit->onWalkResolved(vpn, walk_done, fault);
+        hooks_.audit->onWalkResolved(vpn, fault);
     if (fault)
         return {true, walk_done};
     if (hooks_.audit) {

@@ -38,7 +38,7 @@ secondsSince(Clock::time_point t0)
 
 /** The values a knob accepts; checked before its setter runs. */
 enum class Domain : std::uint8_t {
-    Real,  //!< any double (reals and 0/1 booleans)
+    Real,  //!< a finite double >= 0 (reals and 0/1 booleans)
     U32,   //!< an integer in [0, 2^32)
     U64,   //!< an integer in [0, 2^64)
     Size,  //!< an integer in [1, 2^32): sizes a structure
@@ -264,10 +264,12 @@ failOverride(std::string *error, std::string what)
 std::string
 domainError(const Knob &k, double v)
 {
-    if (k.domain == Domain::Real)
-        return {};
     char got[64];
     std::snprintf(got, sizeof got, ", got %.17g", v);
+    if (k.domain == Domain::Real)
+        return validRunReal(v)
+                   ? std::string()
+                   : std::string("must be a finite number >= 0") + got;
     if (std::isnan(v))
         return "must be a number, got NaN";
     if (v < 0.0)

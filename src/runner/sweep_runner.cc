@@ -10,6 +10,7 @@
 
 #include "src/graph/graph_cache.h"
 #include "src/runner/cell_spec.h"
+#include "src/runner/parallel_units.h"
 #include "src/runner/thread_pool.h"
 #include "src/serve/result_cache.h"
 #include "src/sim/log.h"
@@ -233,23 +234,16 @@ SweepRunner::run()
     const std::uint64_t hits_before = graph_cache.hits();
     GraphBuildCache::Scope graph_scope;
 
-    {
-        ThreadPool pool(workers);
-        for (const SweepJob &job : jobs) {
-            pool.submit([this, &job, &result, &progress,
-                         &progress_mutex, &done, &cache,
-                         total = jobs.size()] {
-                CellOutcome cell =
-                    executeJob(job, spec_, cache.get());
-                result.cells[job.index] = cell;
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                ++done;
-                if (progress)
-                    progress(cell, done, total);
-            });
-        }
-        pool.wait();
-    }
+    // Cells are dispatched in index order; the calling thread is
+    // worker 0. executeJob captures every cell failure itself.
+    runUnits(jobs.size(), workers, [&](std::size_t i) {
+        CellOutcome cell = executeJob(jobs[i], spec_, cache.get());
+        result.cells[i] = cell;
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        ++done;
+        if (progress)
+            progress(cell, done, jobs.size());
+    });
 
     result.elapsed_s = secondsSince(t0);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * SweepRunner: executes a (workload x policy x config-variant)
- * evaluation matrix on a ThreadPool.
+ * evaluation matrix on the runUnits() worker pool.
  *
  * Guarantees:
  *  - **Determinism.** Per-job seeds are pure functions of

@@ -1,21 +1,16 @@
 /**
  * @file
- * A fixed-size worker pool draining a JobQueue. No work stealing, no
- * per-worker queues: one shared FIFO keeps scheduling simple and the
- * result ordering is decided by job index, not completion order, so
- * the pool adds no nondeterminism.
+ * The host's worker count, which `--jobs 0` and perfbench's fig11
+ * workload resolve to. Sweeps run their cells through runUnits()
+ * (src/runner/parallel_units.h); this class keeps only the count.
  */
 
 #ifndef BAUVM_RUNNER_THREAD_POOL_H_
 #define BAUVM_RUNNER_THREAD_POOL_H_
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstddef>
-#include <mutex>
 #include <thread>
-#include <vector>
-
-#include "src/runner/job_queue.h"
 
 namespace bauvm
 {
@@ -23,45 +18,12 @@ namespace bauvm
 class ThreadPool
 {
   public:
-    /**
-     * Starts @p workers threads (minimum 1). Pass 0 to use
-     * hardwareJobs().
-     */
-    explicit ThreadPool(std::size_t workers);
-
-    /** Closes the queue and joins all workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /**
-     * Submits a thunk. Thunks must not throw: wrap fallible work in
-     * its own try/catch (SweepRunner captures per-job failures).
-     * @return false when the pool is already shut down.
-     */
-    bool submit(JobQueue::Thunk thunk);
-
-    /** Blocks until the queue is empty and no thunk is in flight. */
-    void wait();
-
-    /** Closes the queue, drains remaining thunks, joins workers. */
-    void shutdown();
-
-    std::size_t workerCount() const { return workers_.size(); }
-
     /** hardware_concurrency with a sane fallback of 1. */
-    static std::size_t hardwareJobs();
-
-  private:
-    void workerLoop();
-
-    JobQueue queue_;
-    std::vector<std::thread> workers_;
-
-    std::mutex idle_mutex_;
-    std::condition_variable idle_;
-    std::size_t pending_ = 0; //!< submitted but not yet finished
+    static std::size_t
+    hardwareJobs()
+    {
+        return std::max(1u, std::thread::hardware_concurrency());
+    }
 };
 
 } // namespace bauvm

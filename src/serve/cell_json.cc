@@ -86,6 +86,17 @@ parseCellSpec(const JsonValue &v, CellSpec *out, std::string *error)
 {
     if (!v.isObject())
         return failParse(error, "cell spec is not an object");
+    using K = JsonValue::Kind;
+    if (const std::string why = memberKindError(
+            v, {{"workload", K::String},
+                {"policy", K::String},
+                {"variant", K::String},
+                {"scale", K::String},
+                {"ratio", K::Number},
+                {"seed", K::Number},
+                {"audit", K::Bool}});
+        !why.empty())
+        return failParse(error, "cell spec: " + why);
     *out = CellSpec();
     out->workload = v.getString("workload");
     if (out->workload.empty())
@@ -127,6 +138,10 @@ parseCellSpec(const JsonValue &v, CellSpec *out, std::string *error)
                              "cell spec: tenants is not an array");
         for (std::size_t i = 0; i < tenants->size(); ++i) {
             const JsonValue &t = tenants->at(i);
+            if (const std::string why = memberKindError(
+                    t, {{"workload", K::String}, {"quota", K::Number}});
+                !why.empty())
+                return failParse(error, "cell spec: tenant " + why);
             TenantSpec spec;
             spec.workload = t.getString("workload");
             if (spec.workload.empty())

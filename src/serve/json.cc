@@ -414,4 +414,20 @@ JsonValue::getBool(const std::string &key, bool fallback) const
     return v ? v->asBool(fallback) : fallback;
 }
 
+std::string
+memberKindError(const JsonValue &v,
+                std::initializer_list<JsonMemberKind> expected)
+{
+    for (const JsonMemberKind &m : expected) {
+        const JsonValue *member = v.find(m.key);
+        if (!member || member->kind() == m.kind)
+            continue;
+        const char *want = m.kind == JsonValue::Kind::Number ? "a number"
+                           : m.kind == JsonValue::Kind::Bool ? "a boolean"
+                                                             : "a string";
+        return std::string("'") + m.key + "' must be " + want;
+    }
+    return {};
+}
+
 } // namespace bauvm

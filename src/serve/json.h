@@ -11,14 +11,16 @@
  * cached cell results) has small objects.
  *
  * Error handling is by return value: parse() reports the byte offset
- * and reason; the typed accessors return a fallback on kind mismatch
- * (callers validate kinds explicitly where it matters).
+ * and reason; the typed accessors return a fallback on kind mismatch,
+ * so document parsers check their members' kinds first with
+ * memberKindError().
  */
 
 #ifndef BAUVM_SERVE_JSON_H_
 #define BAUVM_SERVE_JSON_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,6 +91,22 @@ class JsonValue
 
     friend class JsonParser;
 };
+
+/** A scalar member a document may carry, and the kind it must have. */
+struct JsonMemberKind {
+    const char *key;
+    JsonValue::Kind kind;
+};
+
+/**
+ * Why a member of @p v listed in @p expected has the wrong kind (for
+ * example "'ratio' must be a number"), or "" when every listed member
+ * that is present matches. Absent members pass: callers apply their
+ * defaults. Checked up front, so a mistyped field is refused instead
+ * of falling back to its default.
+ */
+std::string memberKindError(const JsonValue &v,
+                            std::initializer_list<JsonMemberKind> expected);
 
 } // namespace bauvm
 

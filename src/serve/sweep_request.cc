@@ -84,6 +84,20 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
 {
     if (!v.isObject())
         return failParse(error, "sweep request is not an object");
+    using K = JsonValue::Kind;
+    if (const std::string why = memberKindError(
+            v, {{"bench", K::String},
+                {"scale", K::String},
+                {"ratio", K::Number},
+                {"seed", K::Number},
+                {"audit", K::Bool},
+                {"timeout_s", K::Number},
+                {"hard_timeout_s", K::Number},
+                {"jobs", K::Number},
+                {"chunk_cells", K::Number},
+                {"flush_cells", K::Number}});
+        !why.empty())
+        return failParse(error, "sweep request: " + why);
     const std::string schema = v.getString("schema");
     if (schema.rfind(SweepRequest::kSchema, 0) != 0)
         return failParse(error, "sweep request: unsupported schema '" +
@@ -166,6 +180,11 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
         const WorkloadRegistry &reg = WorkloadRegistry::instance();
         for (std::size_t i = 0; i < tenants->size(); ++i) {
             const JsonValue &t = tenants->at(i);
+            if (const std::string why = memberKindError(
+                    t, {{"workload", JsonValue::Kind::String},
+                        {"quota", JsonValue::Kind::Number}});
+                !why.empty())
+                return failParse(error, "sweep request: tenant " + why);
             TenantSpec spec;
             spec.workload = t.getString("workload");
             if (!reg.contains(spec.workload))

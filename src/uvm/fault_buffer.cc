@@ -22,7 +22,7 @@ FaultBuffer::insert(PageNum vpn, Cycle now, TenantId tenant)
     if (m.fault_slot != PageMeta::kNoIndex) {
         ++entries_.duplicates[m.fault_slot];
         if (hooks_.audit) {
-            hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
+            hooks_.audit->onFaultBuffered(vpn, entries_.size(),
                                           overflowSize());
         }
         return;
@@ -34,7 +34,7 @@ FaultBuffer::insert(PageNum vpn, Cycle now, TenantId tenant)
             if (overflow_[i].vpn == vpn) {
                 ++overflow_[i].duplicates;
                 if (hooks_.audit) {
-                    hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
+                    hooks_.audit->onFaultBuffered(vpn, entries_.size(),
                                                   overflowSize());
                 }
                 return;
@@ -49,7 +49,7 @@ FaultBuffer::insert(PageNum vpn, Cycle now, TenantId tenant)
                                       overflowSize()));
         }
         if (hooks_.audit) {
-            hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
+            hooks_.audit->onFaultBuffered(vpn, entries_.size(),
                                           overflowSize());
         }
         return;
@@ -62,8 +62,7 @@ FaultBuffer::insert(PageNum vpn, Cycle now, TenantId tenant)
                               static_cast<std::uint32_t>(overflowSize()));
     }
     if (hooks_.audit) {
-        hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
-                                      overflowSize());
+        hooks_.audit->onFaultBuffered(vpn, entries_.size(), overflowSize());
     }
 }
 

@@ -154,7 +154,7 @@ GpuMemoryManager::commitPage(PageNum vpn, Cycle now)
     lruAppend(cid);
 
     if (hooks_.audit)
-        hooks_.audit->onPageCommitted(vpn, now, committed_);
+        hooks_.audit->onPageCommitted(vpn, committed_);
 }
 
 PageNum
@@ -201,7 +201,7 @@ GpuMemoryManager::evictOldestPageOf(std::uint32_t chunk, Cycle now,
     }
 
     if (hooks_.audit)
-        hooks_.audit->onEvictionBegin(victim, now, committed_);
+        hooks_.audit->onEvictionBegin(victim, committed_);
 
     return victim;
 }

@@ -184,7 +184,7 @@ UvmRuntime::onPageFault(PageNum vpn, WakeFn waiter)
     if (state_ == State::Idle) {
         state_ = State::InterruptPending;
         if (hooks_.audit)
-            hooks_.audit->onInterruptRaised(now);
+            hooks_.audit->onInterruptRaised();
         events_.scheduleAfter(interrupt_cycles_, [this] { batchBegin(); });
     }
 }
@@ -194,10 +194,8 @@ UvmRuntime::batchBegin()
 {
     // Chained: entered straight from batchEnd() with no interrupt
     // round trip (state still BatchActive at the call).
-    if (hooks_.audit) {
-        hooks_.audit->onBatchBegin(events_.now(),
-                                   state_ == State::BatchActive);
-    }
+    if (hooks_.audit)
+        hooks_.audit->onBatchBegin(state_ == State::BatchActive);
     state_ = State::BatchActive;
     current_ = BatchRecord{};
     current_.begin = events_.now();
@@ -211,7 +209,7 @@ UvmRuntime::batchBegin()
     if (config_.unobtrusive_eviction && !config_.ideal_eviction &&
         manager_.atCapacity() && evictions_in_flight_ == 0) {
         if (hooks_.audit)
-            hooks_.audit->onPreemptiveEviction(events_.now());
+            hooks_.audit->onPreemptiveEviction();
         launchEviction(events_.now());
     }
 
@@ -425,7 +423,7 @@ UvmRuntime::batchEnd()
                                current_.prefetch_pages);
     }
     if (hooks_.audit) {
-        hooks_.audit->onBatchEnd(current_.end, current_.fault_pages,
+        hooks_.audit->onBatchEnd(current_.fault_pages,
                                  current_.prefetch_pages);
     }
     BAUVM_DLOG("UvmRuntime: batch %llu ends at cycle %llu "

@@ -56,8 +56,8 @@ expectAuditPanic(Fn &&fn)
 void
 beginBatch(ModelAuditor &a)
 {
-    a.onInterruptRaised(0);
-    a.onBatchBegin(0, /*chained=*/false);
+    a.onInterruptRaised();
+    a.onBatchBegin(/*chained=*/false);
 }
 
 /** Legal in-batch migration of @p vpn: schedule, reserve, commit. */
@@ -66,7 +66,7 @@ migratePage(ModelAuditor &a, PageNum vpn, std::uint64_t committed_after)
 {
     a.onMigrationScheduled(vpn, 0, 10, 20, 64);
     a.onFrameReserved(committed_after);
-    a.onPageCommitted(vpn, 20, committed_after);
+    a.onPageCommitted(vpn, committed_after);
 }
 
 // ---- per-page residency state machine ------------------------------
@@ -97,7 +97,7 @@ TEST(AuditorResidency, MigrationOfResidentPagePanics)
 TEST(AuditorResidency, CommitWithoutMigrationPanics)
 {
     ModelAuditor a(UvmConfig{});
-    expectAuditPanic([&] { a.onPageCommitted(7, 0, 0); });
+    expectAuditPanic([&] { a.onPageCommitted(7, 0); });
 }
 
 TEST(AuditorResidency, DoubleCommitPanics)
@@ -106,7 +106,7 @@ TEST(AuditorResidency, DoubleCommitPanics)
     beginBatch(a);
     migratePage(a, 7, 0);
     const std::string msg =
-        expectAuditPanic([&] { a.onPageCommitted(7, 0, 0); });
+        expectAuditPanic([&] { a.onPageCommitted(7, 0); });
     EXPECT_NE(msg.find("double commit"), std::string::npos);
 }
 
@@ -114,7 +114,7 @@ TEST(AuditorResidency, EvictionOfNonResidentPagePanics)
 {
     ModelAuditor a(UvmConfig{});
     const std::string msg =
-        expectAuditPanic([&] { a.onEvictionBegin(5, 0, 0); });
+        expectAuditPanic([&] { a.onEvictionBegin(5, 0); });
     EXPECT_NE(msg.find("non-resident victim"), std::string::npos);
 }
 
@@ -123,9 +123,9 @@ TEST(AuditorResidency, DoubleEvictionPanics)
     ModelAuditor a(UvmConfig{});
     beginBatch(a);
     migratePage(a, 5, 0);
-    a.onEvictionBegin(5, 0, 0);
+    a.onEvictionBegin(5, 0);
     const std::string msg =
-        expectAuditPanic([&] { a.onEvictionBegin(5, 0, 0); });
+        expectAuditPanic([&] { a.onEvictionBegin(5, 0); });
     EXPECT_NE(msg.find("double eviction"), std::string::npos);
 }
 
@@ -189,7 +189,7 @@ TEST(AuditorBatch, BatchBeginWithoutInterruptPanics)
 {
     ModelAuditor a(UvmConfig{});
     const std::string msg = expectAuditPanic([&] {
-        a.onBatchBegin(0, /*chained=*/false);
+        a.onBatchBegin(/*chained=*/false);
     });
     EXPECT_NE(msg.find("batch-lifecycle"), std::string::npos);
     EXPECT_NE(msg.find("no interrupt round trip"), std::string::npos);
@@ -200,21 +200,21 @@ TEST(AuditorBatch, ChainedBatchBeginFromInterruptPanics)
     // A chained batch skips the interrupt; seeing one while an
     // interrupt is pending means the runtime lost a round trip.
     ModelAuditor a(UvmConfig{});
-    a.onInterruptRaised(0);
-    expectAuditPanic([&] { a.onBatchBegin(0, /*chained=*/true); });
+    a.onInterruptRaised();
+    expectAuditPanic([&] { a.onBatchBegin(/*chained=*/true); });
 }
 
 TEST(AuditorBatch, InterruptWhileBusyPanics)
 {
     ModelAuditor a(UvmConfig{});
-    a.onInterruptRaised(0);
-    expectAuditPanic([&] { a.onInterruptRaised(1); });
+    a.onInterruptRaised();
+    expectAuditPanic([&] { a.onInterruptRaised(); });
 }
 
 TEST(AuditorBatch, BatchEndWhileIdlePanics)
 {
     ModelAuditor a(UvmConfig{});
-    expectAuditPanic([&] { a.onBatchEnd(0, 0, 0); });
+    expectAuditPanic([&] { a.onBatchEnd(0, 0); });
 }
 
 TEST(AuditorBatch, PreemptiveEvictionAfterMigrationPanics)
@@ -223,14 +223,14 @@ TEST(AuditorBatch, PreemptiveEvictionAfterMigrationPanics)
     beginBatch(a);
     a.onMigrationScheduled(3, 0, 10, 20, 64);
     const std::string msg =
-        expectAuditPanic([&] { a.onPreemptiveEviction(1); });
+        expectAuditPanic([&] { a.onPreemptiveEviction(); });
     EXPECT_NE(msg.find("top-half"), std::string::npos);
 }
 
 TEST(AuditorBatch, PreemptiveEvictionOutsideBatchPanics)
 {
     ModelAuditor a(UvmConfig{});
-    expectAuditPanic([&] { a.onPreemptiveEviction(0); });
+    expectAuditPanic([&] { a.onPreemptiveEviction(); });
 }
 
 TEST(AuditorBatch, MigrationOutsideBatchPanics)
@@ -247,7 +247,7 @@ TEST(AuditorBatch, PageCountMismatchAtBatchEndPanics)
     beginBatch(a);
     migratePage(a, 3, 0);
     const std::string msg = expectAuditPanic([&] {
-        a.onBatchEnd(0, /*fault_pages=*/2, /*prefetch_pages=*/0);
+        a.onBatchEnd(/*fault_pages=*/2, /*prefetch_pages=*/0);
     });
     EXPECT_NE(msg.find("demand+prefetch"), std::string::npos);
 }
@@ -257,10 +257,10 @@ TEST(AuditorBatch, ChainedBatchIsLegal)
     ModelAuditor a(UvmConfig{});
     beginBatch(a);
     migratePage(a, 3, 0);
-    a.onBatchEnd(0, 1, 0);
-    a.onBatchBegin(0, /*chained=*/true); // no interrupt round trip
+    a.onBatchEnd(1, 0);
+    a.onBatchBegin(/*chained=*/true); // no interrupt round trip
     migratePage(a, 4, 0);
-    a.onBatchEnd(0, 1, 0);
+    a.onBatchEnd(1, 0);
     EXPECT_EQ(a.shadowResident(), 2u);
 }
 
@@ -271,7 +271,7 @@ TEST(AuditorFaultBuffer, SizeMismatchPanics)
     ModelAuditor a(UvmConfig{});
     // Shadow inserts the fault; the "hardware" reports an empty buffer.
     const std::string msg = expectAuditPanic([&] {
-        a.onFaultBuffered(9, 0, /*observed_entries=*/0,
+        a.onFaultBuffered(9, /*observed_entries=*/0,
                           /*observed_overflow=*/0);
     });
     EXPECT_NE(msg.find("fault-buffer-accounting"), std::string::npos);
@@ -280,7 +280,7 @@ TEST(AuditorFaultBuffer, SizeMismatchPanics)
 TEST(AuditorFaultBuffer, DrainCountMismatchPanics)
 {
     ModelAuditor a(UvmConfig{});
-    a.onFaultBuffered(9, 0, 1, 0);
+    a.onFaultBuffered(9, 1, 0);
     expectAuditPanic([&] { a.onFaultDrained(0, 0, 0); });
 }
 
@@ -289,11 +289,11 @@ TEST(AuditorFaultBuffer, OverflowReplicaTracksRefill)
     UvmConfig config;
     config.fault_buffer_entries = 2;
     ModelAuditor a(config);
-    a.onFaultBuffered(1, 0, 1, 0);
-    a.onFaultBuffered(2, 0, 2, 0);
-    a.onFaultBuffered(3, 0, 2, 1); // overflows
-    a.onFaultBuffered(3, 0, 2, 1); // merges inside the overflow queue
-    a.onFaultDrained(2, 1, 0);     // drain refills vpn 3 from overflow
+    a.onFaultBuffered(1, 1, 0);
+    a.onFaultBuffered(2, 2, 0);
+    a.onFaultBuffered(3, 2, 1); // overflows
+    a.onFaultBuffered(3, 2, 1); // merges inside the overflow queue
+    a.onFaultDrained(2, 1, 0); // drain refills vpn 3 from overflow
     a.onFaultDrained(1, 0, 0);
 }
 
@@ -341,6 +341,7 @@ TEST(AuditorTlb, HitForNonResidentPagePanics)
     const std::string msg =
         expectAuditPanic([&] { a.onTranslationHit(7); });
     EXPECT_NE(msg.find("tlb-coherence"), std::string::npos);
+    EXPECT_NE(msg.find("state {host}"), std::string::npos);
 }
 
 TEST(AuditorTlb, InsertForNonResidentPagePanics)
@@ -354,19 +355,8 @@ TEST(AuditorTlb, WalkOutcomeDivergencePanics)
     ModelAuditor a(UvmConfig{});
     // Shadow says host-resident; the walker claims a translation.
     expectAuditPanic([&] {
-        a.onWalkResolved(7, 0, /*observed_fault=*/false);
+        a.onWalkResolved(7, /*observed_fault=*/false);
     });
-}
-
-TEST(AuditorTlb, InvalidateClearsCachedTranslations)
-{
-    ModelAuditor a(UvmConfig{});
-    beginBatch(a);
-    migratePage(a, 7, 0);
-    a.onTranslationInsert(7);
-    EXPECT_TRUE(a.translationCached(7));
-    a.onTranslationInvalidate(7);
-    EXPECT_FALSE(a.translationCached(7));
 }
 
 // ---- finalize conservation -----------------------------------------
@@ -413,37 +403,36 @@ TEST(AuditorFinalize, ModelSequencePassesEndToEnd)
     a.onCapacitySet(4);
 
     // Batch 1: fault on page 1, migrate it.
-    a.onFaultBuffered(1, 0, 1, 0);
-    a.onInterruptRaised(0);
-    a.onBatchBegin(1, false);
+    a.onFaultBuffered(1, 1, 0);
+    a.onInterruptRaised();
+    a.onBatchBegin(false);
     a.onFaultDrained(1, 0, 0);
     a.onMigrationScheduled(1, 1, 10, 20, 64);
     a.onPcieTransfer(true, 64, 10, 20);
     a.onFrameReserved(1);
-    a.onPageCommitted(1, 20, 1);
-    a.onBatchEnd(20, 1, 0);
+    a.onPageCommitted(1, 1);
+    a.onBatchEnd(1, 0);
 
-    // The page is translated, then evicted (shootdown included).
-    a.onWalkResolved(1, 21, false);
+    // The page is translated, then evicted.
+    a.onWalkResolved(1, false);
     a.onTranslationInsert(1);
     a.onTranslationHit(1);
-    a.onEvictionBegin(1, 30, 1);
-    a.onTranslationInvalidate(1);
+    a.onEvictionBegin(1, 1);
     a.onEvictionTransfer(1, 30, 40, 64);
     a.onPcieTransfer(false, 64, 30, 40);
     a.onEvictionComplete(1, 0);
 
     // Batch 2: page 2 faults and stays resident.
-    a.onFaultBuffered(2, 50, 1, 0);
-    a.onInterruptRaised(50);
-    a.onBatchBegin(51, false);
-    a.onPreemptiveEviction(51); // legal: before any migration
+    a.onFaultBuffered(2, 1, 0);
+    a.onInterruptRaised();
+    a.onBatchBegin(false);
+    a.onPreemptiveEviction(); // legal: before any migration
     a.onFaultDrained(1, 0, 0);
     a.onMigrationScheduled(2, 51, 60, 70, 64);
     a.onPcieTransfer(true, 64, 60, 70);
     a.onFrameReserved(1);
-    a.onPageCommitted(2, 70, 1);
-    a.onBatchEnd(70, 1, 0);
+    a.onPageCommitted(2, 1);
+    a.onBatchEnd(1, 0);
 
     RunResult r;
     r.migrations = 2;
@@ -465,7 +454,7 @@ TEST(AuditorDiagnostics, ViolationReportsStructuredFields)
     ModelAuditor a(UvmConfig{});
     a.setContext("BFS-TWC/TO+UE");
     const std::string msg =
-        expectAuditPanic([&] { a.onEvictionBegin(42, 0, 0); });
+        expectAuditPanic([&] { a.onEvictionBegin(42, 0); });
     EXPECT_NE(msg.find("invariant"), std::string::npos);
     EXPECT_NE(msg.find("cell:     BFS-TWC/TO+UE"), std::string::npos);
     EXPECT_NE(msg.find("cycle:"), std::string::npos);
@@ -480,7 +469,7 @@ TEST(AuditorDiagnostics, ViolationAppendsTraceTailWhenTracing)
     trace.instant(TraceEventType::PageFault, traceTrackSm(0), 5, 42);
     ModelAuditor a(UvmConfig{}, nullptr, &trace);
     const std::string msg =
-        expectAuditPanic([&] { a.onEvictionBegin(42, 0, 0); });
+        expectAuditPanic([&] { a.onEvictionBegin(42, 0); });
     EXPECT_NE(msg.find("trace tail"), std::string::npos);
     EXPECT_NE(msg.find("page_fault"), std::string::npos);
 }
@@ -493,7 +482,7 @@ shadowResident(ModelAuditor &a, PageNum vpn)
 {
     a.onPreload(vpn);
     a.onFrameReserved(0);
-    a.onPageCommitted(vpn, 0, 0);
+    a.onPageCommitted(vpn, 0);
 }
 
 TEST(HierarchyAudit, EvictionShootdownKeepsCoherence)
@@ -510,7 +499,7 @@ TEST(HierarchyAudit, EvictionShootdownKeepsCoherence)
     EXPECT_FALSE(mh.access(0, 3 * page_bytes, false, 100).fault);
 
     // Proper eviction: unmap, then shoot the TLBs down.
-    a.onEvictionBegin(3, 200, 0);
+    a.onEvictionBegin(3, 0);
     pt.unmap(3);
     mh.invalidatePage(3);
     a.onEvictionTransfer(3, 200, 210, 64);
@@ -535,7 +524,7 @@ TEST(HierarchyAudit, MissedShootdownAfterEvictionPanics)
     pt.map(3, 0);
     EXPECT_FALSE(mh.access(0, 3 * page_bytes, false, 0).fault);
 
-    a.onEvictionBegin(3, 100, 0);
+    a.onEvictionBegin(3, 0);
     pt.unmap(3);
     // BUG under test: no mh.invalidatePage(3).
 
@@ -575,7 +564,7 @@ TEST(SystemAudit, AuditorIsOwnedWhenEnabled)
     // A violation injected into the system-owned auditor panics the
     // same way any simulation abort does (ScopedAbortCapture-friendly).
     ScopedAbortCapture capture;
-    EXPECT_THROW(system.audit()->onEvictionBegin(1, 0, 0), SimAbort);
+    EXPECT_THROW(system.audit()->onEvictionBegin(1, 0), SimAbort);
 }
 
 // ---- bench plumbing ------------------------------------------------

@@ -6,9 +6,10 @@
  * page-metadata table, the waiter slab, the batch scratch vectors and
  * the batch-record vector's capacity are warm. The same hook proves
  * that stepping the shipped warp kernels allocates nothing once their
- * coroutine frames exist. Lives in its own binary
- * so the global hook cannot perturb (or be perturbed by) the main test
- * suite.
+ * coroutine frames exist, and that an audited run's fault loop and
+ * translations stay allocation-free with the ModelAuditor attached.
+ * Lives in its own binary so the global hook cannot perturb (or be
+ * perturbed by) the main test suite.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/check/model_auditor.h"
 #include "src/mem/memory_hierarchy.h"
 #include "src/mem/slot_queue.h"
 #include "src/sim/event_queue.h"
@@ -155,23 +157,29 @@ class FaultLoop
  * batch scratch and event slabs to steady-state capacity, then keeps
  * running rounds until the batch-record vector has headroom for the
  * measured round (its once-per-batch push_back is the only amortized
- * growth left on the path).
+ * growth left on the path). With @p audited, every component reports
+ * to the stack's ModelAuditor, as in an `--audit` run.
  */
 struct LoopStack {
     UvmConfig config;
     EventQueue events;
+    ModelAuditor auditor;
+    SimHooks hooks;
     GpuMemoryManager manager;
     MemoryHierarchy hierarchy;
     UvmRuntime runtime;
     FaultLoop<UvmRuntime> loop;
 
-    LoopStack()
-        : config(makeConfig()), manager(config, /*capacity_pages=*/8),
+    explicit LoopStack(bool audited = false)
+        : config(makeConfig()), auditor(config, &events),
+          hooks{nullptr, audited ? &auditor : nullptr, &events},
+          manager(config, /*capacity_pages=*/0, hooks),
           hierarchy(MemConfig{}, 1, config.page_bytes,
-                    manager.pageTable()),
-          runtime(config, events, manager, hierarchy),
+                    manager.pageTable(), hooks),
+          runtime(config, events, manager, hierarchy, hooks),
           loop(runtime, events)
     {
+        manager.setCapacityPages(8);
         runtime.registerAllocation(0, 64 * config.page_bytes);
     }
 
@@ -246,6 +254,73 @@ TEST(MemAlloc, SteadyStateFaultPathIsAllocationFree)
         << "steady-state fault/migrate/evict/wake must not allocate";
     EXPECT_EQ(UvmRuntime::WakeFn::heapFallbacks(), fallbacks_before)
         << "waiter captures within the inline budget must stay inline";
+}
+
+/**
+ * An audited run must not allocate on its hot paths either: the
+ * auditor's page shadow is a dense table that is warm once the loop
+ * has touched the footprint, and a passing check builds no diagnostic.
+ * The same stack then translates its resident pages through a
+ * hierarchy with a 2-entry L1 TLB, so the pass mixes L1 TLB hits, L2
+ * TLB hits that refill the L1, and page walks forced by shootdowns,
+ * every one reported to the auditor.
+ */
+TEST(MemAlloc, AuditedFaultLoopAndTranslationsAreAllocationFree)
+{
+    constexpr std::uint64_t kFaults = 512;
+    LoopStack stack(/*audited=*/true);
+    stack.warmUp(kFaults);
+
+    g_allocs.store(0);
+    g_counting.store(true);
+    const std::uint64_t woken = stack.loop.run(kFaults);
+    g_counting.store(false);
+    const std::uint64_t loop_allocs = g_allocs.load();
+    EXPECT_EQ(woken, kFaults);
+    EXPECT_GT(stack.manager.evictions(), 0u)
+        << "loop must run under pressure";
+
+    MemConfig small_tlb;
+    small_tlb.l1_tlb = TlbConfig{2, 0, 1};
+    MemoryHierarchy probe(small_tlb, 1, stack.config.page_bytes,
+                          stack.manager.pageTable(), stack.hooks);
+    std::vector<PageNum> resident;
+    for (PageNum vpn = 0; vpn < 64; ++vpn)
+        if (stack.manager.pageTable().isResident(vpn))
+            resident.push_back(vpn);
+    ASSERT_GE(resident.size(), 3u) << "the L1 TLB must overflow";
+    Cycle now = stack.events.now();
+    auto translateAll = [&](std::size_t round) {
+        for (const PageNum vpn : resident) {
+            if (vpn == resident[round % resident.size()])
+                probe.invalidatePage(vpn); // the next access walks
+            for (int twice = 0; twice < 2; ++twice) {
+                now += 1000;
+                EXPECT_FALSE(probe
+                                 .access(0, vpn * stack.config.page_bytes,
+                                         false, now)
+                                 .fault);
+            }
+        }
+    };
+    translateAll(0);
+    const std::uint64_t checks_before = stack.auditor.checksPerformed();
+    const std::uint64_t walks_before = probe.pageWalks();
+
+    g_allocs.store(0);
+    g_counting.store(true);
+    for (std::size_t round = 1; round <= 64; ++round)
+        translateAll(round);
+    g_counting.store(false);
+
+    EXPECT_GT(probe.l1Tlb(0).hits(), 0u);
+    EXPECT_GT(probe.l2Tlb().hits(), 0u);
+    EXPECT_GE(probe.pageWalks() - walks_before, 64u);
+    EXPECT_GT(stack.auditor.checksPerformed(), checks_before);
+    EXPECT_EQ(loop_allocs, 0u)
+        << "the audited fault/migrate/evict/wake loop must not allocate";
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "audited TLB hits, fills and walks must not allocate";
 }
 
 /**

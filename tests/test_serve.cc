@@ -610,6 +610,57 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
         parseOrDie("{\"workload\": \"PR\", \"ratio\": -0.5}"), &spec,
         &error));
     EXPECT_NE(error.find("finite"), std::string::npos) << error;
+
+    // A member of the wrong JSON kind once fell back to its default
+    // ("ratio": "0.9" ran at 0.5 and reported ok); it is refused with
+    // the field named.
+    const struct {
+        const char *members;
+        const char *field;
+    } wrong_kind[] = {
+        {"\"ratio\": \"0.9\"", "'ratio'"},
+        {"\"seed\": \"7\"", "'seed'"},
+        {"\"jobs\": true", "'jobs'"},
+        {"\"audit\": \"yes\"", "'audit'"},
+        {"\"scale\": 1", "'scale'"},
+        {"\"timeout_s\": \"5\"", "'timeout_s'"},
+        {"\"hard_timeout_s\": null", "'hard_timeout_s'"},
+        {"\"chunk_cells\": \"2\"", "'chunk_cells'"},
+        {"\"flush_cells\": []", "'flush_cells'"},
+        {"\"tenants\": [{\"workload\": 7, \"quota\": 0.5},"
+         " {\"workload\": \"PR\", \"quota\": 0.5}]",
+         "'workload'"},
+        {"\"tenants\": [{\"workload\": \"BFS-HYB\", \"quota\": \"0.5\"},"
+         " {\"workload\": \"PR\", \"quota\": 0.5}]",
+         "'quota'"},
+    };
+    for (const auto &w : wrong_kind) {
+        const std::string doc = std::string("{\"schema\": "
+                                            "\"bauvm.sweep-request/1\","
+                                            " \"workloads\": [\"PR\"], ") +
+                                w.members + "}";
+        error.clear();
+        EXPECT_FALSE(parseSweepRequest(parseOrDie(doc), &req, &error))
+            << doc;
+        EXPECT_NE(error.find(w.field), std::string::npos) << error;
+    }
+    const struct {
+        const char *doc;
+        const char *field;
+    } wrong_kind_cell[] = {
+        {"{\"workload\": \"PR\", \"ratio\": \"0.9\"}", "'ratio'"},
+        {"{\"workload\": \"PR\", \"audit\": 1}", "'audit'"},
+        {"{\"workload\": \"PR\", \"policy\": 2}", "'policy'"},
+        {"{\"workload\": \"BFS-HYB+PR\", \"tenants\": [{\"workload\":"
+         " \"BFS-HYB\", \"quota\": \"0.5\"}, {\"workload\": \"PR\"}]}",
+         "'quota'"},
+    };
+    for (const auto &w : wrong_kind_cell) {
+        error.clear();
+        EXPECT_FALSE(parseCellSpec(parseOrDie(w.doc), &spec, &error))
+            << w.doc;
+        EXPECT_NE(error.find(w.field), std::string::npos) << error;
+    }
 }
 
 TEST(SweepRequestParse, RejectsOutOfDomainOverrideValues)
@@ -633,6 +684,9 @@ TEST(SweepRequestParse, RejectsOutOfDomainOverrideValues)
         {"gpu.issue_width", "1e10", "below 2^32"},
         {"uvm.va_block_bytes", "1e30", "below 2^64"},
         {"mt.policy", "3", "at most 2"},
+        {"memory_ratio", "-1", "finite"},
+        {"memory_ratio", "1e999", "finite"},
+        {"uvm.pcie_gbps", "1e999", "finite"},
     };
     for (const auto &b : bad) {
         const std::string body =
@@ -665,7 +719,10 @@ TEST(SweepRequestParse, RejectsOutOfDomainOverrideValues)
     EXPECT_TRUE(applyConfigOverride(config, "mem.walker_threads", 1,
                                     &error));
     EXPECT_EQ(config.mem.walker_threads, 1u);
-    EXPECT_TRUE(applyConfigOverride(config, "memory_ratio", -1, &error));
+    // A negative memory ratio would mean unlimited memory.
+    EXPECT_FALSE(applyConfigOverride(config, "memory_ratio", -1, &error));
+    EXPECT_NE(error.find("finite"), std::string::npos) << error;
+    EXPECT_EQ(config.memory_ratio, before.memory_ratio);
 }
 
 // ---------------------------------------------------------------------
